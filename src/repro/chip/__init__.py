@@ -2,11 +2,12 @@
 
 The paper evaluates one SM with a fixed 1/32 slice of chip bandwidth
 and scales chip numbers analytically.  This package makes the chip
-explicit: the single-SM simulator becomes a component
-(:func:`repro.sm.simulate` with injected DRAM port / CTA source /
-collector), and :func:`simulate_chip` instantiates ``num_sms`` of them
-behind a shared :class:`~repro.memory.dram.DRAMSystem` with a
-GigaThread-style :class:`CTADispatcher` spreading the grid across SMs.
+explicit: :func:`simulate_chip` builds ``num_sms``
+:class:`~repro.sm.core.SMCore` instances -- each with its own DRAM
+port, CTA source, and collector -- behind a shared
+:class:`~repro.memory.dram.DRAMSystem`, with a GigaThread-style
+:class:`CTADispatcher` spreading the grid across SMs, and runs them on
+the same loops as :func:`repro.sm.simulate`.
 
 ``ChipConfig.single_sm()`` -- one SM, private full-slice channel -- is
 the degenerate case that reproduces the paper's methodology (and the

@@ -1,161 +1,37 @@
-"""Chip-level event-driven simulation: N SMs behind one DRAM system.
+"""Chip-level simulation: N SM cores behind one DRAM system.
+
+:func:`simulate_chip` composes a chip out of
+:class:`~repro.sm.core.SMCore` instances -- a GigaThread-style
+:class:`~repro.chip.dispatch.CTADispatcher` handing out the grid, a
+shared :class:`~repro.memory.dram.DRAMSystem` (or private per-SM
+slices), and the :class:`~repro.obs.chip.ChipCollector` taps -- runs
+them on the same loops :func:`repro.sm.simulate` runs its one core on
+(:func:`repro.sm.core.run_event` and
+:func:`repro.sm.replay.run_columnar`), and assembles the
+:class:`~repro.chip.result.ChipResult`.
 
 One global event heap interleaves the warps of every SM by readiness,
 so SMs advance together in simulated time and their DRAM requests reach
-the shared :class:`~repro.memory.dram.DRAMSystem` in arrival order --
-the contention the paper's fixed 1/32-bandwidth-slice methodology
-cannot express.  Each SM keeps its own issue port, memory pipeline
-port, bank model, cache, and counters (:class:`_SMCore`); nothing
-architectural is shared except the DRAM channels and the CTA
-dispatcher.
-
-The per-warp arithmetic is *exactly* the single-SM loop of
-:mod:`repro.sm.simulator` with the SM-wide state (``issued_until``,
-``mem_port_free``, histograms, energy accumulators) moved onto the
-warp's owning core.  That is the refactor's contract: a 1-SM chip with
-a private full-slice channel (``ChipConfig.single_sm()``) replays the
-identical sequence of heap operations and bus reservations, so its one
-:class:`~repro.sm.result.SimResult` is bit-identical to
+the shared system in arrival order -- the contention the paper's fixed
+1/32-bandwidth-slice methodology cannot express.  Each SM keeps its own
+issue port, memory pipeline port, bank model, cache, and counters;
+nothing architectural is shared except the DRAM channels and the CTA
+dispatcher.  A 1-SM chip with a private full-slice channel
+(``ChipConfig.single_sm()``) is therefore bit-identical to
 :func:`repro.sm.simulate` -- pinned against the golden fixtures by
 ``tests/chip/test_single_sm_identity.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-
 from repro.chip.config import ChipConfig
 from repro.chip.dispatch import CTADispatcher
 from repro.chip.result import ChipResult
-from repro.compiler.columnar import N_TOTALS, cta_plan, sig_obs_rows
-from repro.compiler.compiled import CompiledKernel, CompiledOp
-from repro.compiler.precompute import (
-    K_BARRIER,
-    K_GLOBAL_LOAD,
-    K_SHARED_LOAD,
-    K_SHARED_STORE,
-    K_TEX,
-    plan_kernel,
-)
+from repro.compiler.compiled import CompiledKernel
 from repro.core.partition import MemoryPartition
-from repro.memory.banks import make_bank_model
-from repro.memory.cache import DataCache
-from repro.memory.dram import DRAMChannel, DRAMSystem
-from repro.obs.collector import (
-    CAUSE_BARRIER,
-    CAUSE_MEMORY,
-    CAUSE_RAW,
-)
-from repro.sm.cta_scheduler import CTAScheduler
-from repro.sm.replay import (
-    _ColWarp,
-    _release_key,
-    make_warp_runner,
-    make_warp_runner_obs,
-)
-from repro.sm.result import EnergyCounts, SimResult
-from repro.sm.simulator import SimulationError
-
-
-@dataclass(slots=True)
-class _ChipWarp:
-    """A resident warp plus the SM core it executes on.
-
-    Mirrors :class:`repro.sm.simulator._WarpState`; the extra ``core``
-    field is how the shared event heap routes a popped warp back to its
-    SM's issue port and counters.
-    """
-
-    ops: list[CompiledOp]
-    plans: list
-    cta: object
-    core: "_SMCore"
-    pc: int = 0
-    pending: dict[int, float] = field(default_factory=dict)
-    wid: int = 0
-    widx: int = 0
-
-    def next_ready(self, now: float) -> float:
-        op = self.ops[self.pc]
-        ready = now
-        pending = self.pending
-        if pending:
-            for r in op.srcs:
-                t = pending.get(r)
-                if t is not None and t > ready:
-                    ready = t
-        return ready
-
-
-class _SMCore:
-    """One SM's private state inside a chip run.
-
-    Everything :func:`repro.sm.simulate` keeps in locals lives here
-    instead, because N cores advance through one interleaved loop.
-    """
-
-    __slots__ = (
-        "index",
-        "scheduler",
-        "banks",
-        "cache",
-        "dram",
-        "mshr",
-        "obs",
-        "issued_until",
-        "mem_port_free",
-        "instructions",
-        "conflict_cycles",
-        "hist",
-        "arb_total",
-        "mrf_reads",
-        "mrf_writes",
-        "orf_reads",
-        "orf_writes",
-        "lrf_reads",
-        "lrf_writes",
-        "shared_row_reads",
-        "shared_row_writes",
-        "cache_row_reads",
-        "cache_row_writes",
-        "tag_lookups",
-        "warp_serial",
-        "live_ctas",
-    )
-
-    def __init__(self, index, scheduler, banks, cache, dram, obs, mshr=None) -> None:
-        self.index = index
-        self.scheduler = scheduler
-        self.banks = banks
-        self.cache = cache
-        self.dram = dram
-        #: Per-SM MSHR file; None = legacy blocking miss model.
-        self.mshr = mshr
-        self.obs = obs
-        self.issued_until = 0.0
-        self.mem_port_free = 0.0
-        self.instructions = 0
-        self.conflict_cycles = 0
-        self.hist = [0, 0, 0, 0, 0]
-        self.arb_total = 0
-        self.mrf_reads = 0
-        self.mrf_writes = 0
-        self.orf_reads = 0
-        self.orf_writes = 0
-        self.lrf_reads = 0
-        self.lrf_writes = 0
-        self.shared_row_reads = 0
-        self.shared_row_writes = 0
-        self.cache_row_reads = 0
-        self.cache_row_writes = 0
-        self.tag_lookups = 0
-        self.warp_serial = 0
-        self.live_ctas = 0
-
-    def end_cycle(self) -> float:
-        """When this SM went idle: issue, memory pipe, and its last DRAM."""
-        return max(self.issued_until, self.mem_port_free, self.dram.free_at)
+from repro.memory.dram import DRAMSystem
+from repro.sm.core import SMCore, run_event
+from repro.sm.replay import run_columnar
 
 
 def _tee_channel_observer(sm_hook, chip_hook, channel: int):
@@ -173,499 +49,6 @@ def _tee_channel_observer(sm_hook, chip_hook, channel: int):
             sm_hook(start, end, nbytes)
             chip_hook(channel, start, end, nbytes)
     return tee
-
-
-def _run_chip_event(kernel, sm_cfg, cores, dispatcher, chip_obs) -> None:
-    """Interpretive main loop: the single-SM hot loop over N cores.
-
-    This is the original chip event loop, verbatim; `simulate_chip`
-    routes here when the SM engine is pinned to ``"event"``
-    (instrumented runs replay too, through
-    :func:`_run_chip_columnar`'s per-core instrumented runners).
-    """
-    line_bytes = sm_cfg.cache_line_bytes
-    plans_k = plan_kernel(kernel, line_bytes)
-
-    heap: list[tuple[float, int, _ChipWarp]] = []
-    seq = 0
-
-    def push(w: _ChipWarp, now: float) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (w.next_ready(now), seq, w))
-        seq += 1
-
-    def spawn_cta(core: _SMCore, now: float) -> bool:
-        resident = core.scheduler.launch_next()
-        if resident is None:
-            return False
-        obs = core.obs
-        if obs is not None:
-            obs.cta_launch(resident.index, now, len(resident.cta.warps))
-        if chip_obs is not None:
-            chip_obs.cta_dispatch(
-                resident.index, core.index, now, dispatcher.remaining
-            )
-        warp_plans = plans_k[resident.index]
-        for wi, cw in enumerate(resident.cta.warps):
-            w = _ChipWarp(
-                ops=cw.ops,
-                plans=warp_plans[wi],
-                cta=resident,
-                core=core,
-                wid=core.warp_serial,
-                widx=wi,
-            )
-            core.warp_serial += 1
-            if obs is not None:
-                obs.spawn(w.wid, resident.index, wi, now)
-            push(w, now)
-        return True
-
-    # Breadth-first initial fill: SM 0 gets CTA 0, SM 1 gets CTA 1, ...
-    # then around again until every SM is at its residency limit or the
-    # grid drains.  With one SM this is exactly the sequential fill of
-    # the single-SM simulator (CTA 0, 1, 2, ... up to max_concurrent).
-    progress = True
-    while progress:
-        progress = False
-        for core in cores:
-            if core.live_ctas < core.scheduler.max_concurrent and spawn_cta(core, 0.0):
-                core.live_ctas += 1
-                progress = True
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    lat_by_kind = (sm_cfg.alu_latency, sm_cfg.sfu_latency, sm_cfg.tex_latency)
-    shared_latency = sm_cfg.shared_latency
-    hit_latency = sm_cfg.cache_hit_latency
-    txn_bytes = sm_cfg.dram_transaction_bytes
-    desch_lat = sm_cfg.deschedule_latency
-    desch_thr = sm_cfg.deschedule_threshold
-    barrier_latency = sm_cfg.barrier_latency
-
-    # The loop body below is the single-SM hot loop of
-    # repro.sm.simulator with SM-wide locals replaced by fields of the
-    # popped warp's core; any timing change here breaks the N=1
-    # bit-identity contract.
-    while heap:
-        ready, _, w = heappop(heap)
-        core = w.core
-        t = ready if ready > core.issued_until else core.issued_until
-        pc = w.pc
-        op = w.ops[pc]
-        pl = w.plans[pc]
-        kind = pl.kind
-        core.instructions += 1
-        obs = core.obs
-
-        if kind <= K_TEX:
-            penalty = pl.reg_penalty
-            core.hist[pl.reg_bucket] += 1
-            issue_done = t + 1 + penalty
-            completion = issue_done + lat_by_kind[kind]
-        elif kind == K_BARRIER:
-            cta = w.cta
-            cta.barrier_count += 1
-            w.pc = pc + 1
-            core.issued_until = t + 1
-            if obs is not None:
-                obs.issue(w.wid, "BARRIER", op.srcs, ready, t, t + 1)
-            if cta.barrier_count == cta.warps_outstanding:
-                cta.barrier_count = 0
-                waiting = cta.waiting_warps
-                cta.waiting_warps = []
-                release = t + 1 + barrier_latency
-                for other in (*waiting, w):
-                    if obs is not None:
-                        obs.resume(other.wid, release, CAUSE_BARRIER)
-                    if other.pc < len(other.ops):
-                        push(other, release)
-                    else:
-                        cta.warps_outstanding -= 1
-                        if obs is not None:
-                            obs.complete(other.wid, release)
-                if cta.warps_outstanding == 0:
-                    core.scheduler.retire(cta)
-                    if obs is not None:
-                        obs.cta_retire(cta.index, release)
-                    if chip_obs is not None:
-                        chip_obs.cta_retire(cta.index, core.index, release)
-                    core.live_ctas -= 1
-                    if spawn_cta(core, release):
-                        core.live_ctas += 1
-            else:
-                cta.waiting_warps.append(w)
-            continue
-        else:
-            issue_done = t + 1
-            wb_cause = CAUSE_RAW
-            mshr_wait = 0.0
-            if kind <= K_SHARED_STORE:
-                penalty, bucket, rows, arb = core.banks.planned_shared(
-                    pl, op.addrs, w.cta.shared_base
-                )
-                core.hist[bucket] += 1
-                core.arb_total += arb
-                if kind == K_SHARED_LOAD:
-                    core.shared_row_reads += rows
-                else:
-                    core.shared_row_writes += rows
-                mem_port_free = core.mem_port_free
-                port_start = issue_done if issue_done > mem_port_free else mem_port_free
-                data_ready = port_start + penalty
-                core.mem_port_free = port_start + 1 + penalty
-                completion = data_ready + shared_latency
-            else:
-                penalty, bucket, rows, arb = core.banks.planned_global(pl)
-                core.hist[bucket] += 1
-                core.arb_total += arb
-                cache = core.cache
-                cache_enabled = cache.enabled
-                if cache_enabled:
-                    core.tag_lookups += pl.n_segments
-                mem_port_free = core.mem_port_free
-                port_start = issue_done if issue_done > mem_port_free else mem_port_free
-                data_ready = port_start + penalty
-                core.mem_port_free = port_start + 1 + penalty
-                dram_request = core.dram.request
-                if kind == K_GLOBAL_LOAD:
-                    completion = data_ready
-                    if cache_enabled:
-                        core.cache_row_reads += rows
-                        cache_read = cache.read_line
-                        mshr = core.mshr
-                        if mshr is not None:
-                            # Non-blocking miss handling; mirrors the
-                            # single-SM loop (see repro.sm.simulator).
-                            cur = data_ready
-                            for seg in pl.segments:
-                                hit = cache_read(seg)
-                                if obs is not None:
-                                    obs.cache_access(cur, hit)
-                                fill = mshr.outstanding(seg, cur)
-                                if fill is not None:
-                                    mshr.secondary_merges += 1
-                                    wb_cause = CAUSE_MEMORY
-                                    done = fill
-                                elif hit:
-                                    done = cur + hit_latency
-                                else:
-                                    free = mshr.entry_free_at(cur)
-                                    if free > cur:
-                                        mshr.full_stalls += 1
-                                        mshr.full_stall_cycles += free - cur
-                                        mshr_wait += free - cur
-                                        cur = free
-                                    done = dram_request(cur, line_bytes, seg)
-                                    mshr.allocate(seg, done, cur)
-                                    wb_cause = CAUSE_MEMORY
-                                if done > completion:
-                                    completion = done
-                            if cur > core.mem_port_free:
-                                core.mem_port_free = cur
-                        elif obs is None:
-                            for seg in pl.segments:
-                                if cache_read(seg):
-                                    done = data_ready + hit_latency
-                                else:
-                                    done = dram_request(data_ready, line_bytes)
-                                    wb_cause = CAUSE_MEMORY
-                                if done > completion:
-                                    completion = done
-                        else:
-                            for seg in pl.segments:
-                                if cache_read(seg):
-                                    done = data_ready + hit_latency
-                                    obs.cache_access(data_ready, True)
-                                else:
-                                    done = dram_request(data_ready, line_bytes)
-                                    wb_cause = CAUSE_MEMORY
-                                    obs.cache_access(data_ready, False)
-                                if done > completion:
-                                    completion = done
-                    else:
-                        wb_cause = CAUSE_MEMORY
-                        ns = pl.n_sectors
-                        if ns < 0:
-                            ns = pl.sector_info(op.addrs, line_bytes)[0]
-                        for _ in range(ns):
-                            done = dram_request(data_ready, txn_bytes)
-                            if done > completion:
-                                completion = done
-                else:
-                    completion = None
-                    if cache_enabled:
-                        core.cache_row_writes += rows
-                        cache_write = cache.write_line
-                        if obs is None:
-                            for seg in pl.segments:
-                                cache_write(seg)
-                        else:
-                            for seg in pl.segments:
-                                obs.cache_access(data_ready, cache_write(seg))
-                        pls = pl.per_line_sectors
-                        if pls is None:
-                            pls = pl.sector_info(op.addrs, line_bytes)[1]
-                        if core.mshr is not None:
-                            for seg, nsect in zip(pl.segments, pls):
-                                dram_request(data_ready, nsect * txn_bytes, seg)
-                        else:
-                            for nsect in pls:
-                                dram_request(data_ready, nsect * txn_bytes)
-                    else:
-                        ns = pl.n_sectors
-                        if ns < 0:
-                            ns = pl.sector_info(op.addrs, line_bytes)[0]
-                        for _ in range(ns):
-                            dram_request(data_ready, txn_bytes)
-
-        core.mrf_reads += pl.n_mrf_reads
-        core.mrf_writes += pl.n_mrf_writes
-        core.orf_reads += op.orf_reads
-        core.orf_writes += op.orf_writes
-        core.lrf_reads += op.lrf_reads
-        core.lrf_writes += op.lrf_writes
-
-        core.conflict_cycles += penalty
-        core.issued_until = issue_done
-        if op.dst is not None:
-            if completion is None or completion < issue_done:
-                completion = issue_done
-            w.pending[op.dst] = completion
-        if obs is not None:
-            obs.issue(w.wid, op.op.name, op.srcs, ready, t, issue_done)
-            if op.dst is not None:
-                if kind <= K_TEX:
-                    cause = CAUSE_MEMORY if kind == K_TEX else CAUSE_RAW
-                    obs.writeback(w.wid, op.dst, completion, cause, 0.0)
-                else:
-                    wb_conflict = (port_start - issue_done) + penalty
-                    obs.writeback(
-                        w.wid, op.dst, completion, wb_cause, wb_conflict, mshr_wait
-                    )
-
-        pc += 1
-        w.pc = pc
-        ops_w = w.ops
-        if pc < len(ops_w):
-            nr = issue_done
-            pending = w.pending
-            if pending:
-                for r in ops_w[pc].srcs:
-                    t2 = pending.get(r)
-                    if t2 is not None and t2 > nr:
-                        nr = t2
-            if desch_lat and nr - issue_done > desch_thr:
-                heappush(heap, (nr + desch_lat, seq, w))
-            else:
-                heappush(heap, (nr, seq, w))
-            seq += 1
-            continue
-        if obs is not None:
-            obs.complete(w.wid, issue_done)
-        cta = w.cta
-        cta.warps_outstanding -= 1
-        if cta.warps_outstanding == 0:
-            if cta.waiting_warps:
-                raise SimulationError(
-                    f"CTA {cta.index} finished with warps still at a barrier"
-                )
-            core.scheduler.retire(cta)
-            if obs is not None:
-                obs.cta_retire(cta.index, issue_done)
-            if chip_obs is not None:
-                chip_obs.cta_retire(cta.index, core.index, issue_done)
-            core.live_ctas -= 1
-            if spawn_cta(core, issue_done):
-                core.live_ctas += 1
-
-
-def _run_chip_columnar(kernel, sm_cfg, cores, dispatcher, chip_obs) -> None:
-    """Columnar replay main loop: same interleaving, compiled rows.
-
-    One global heap of ``(ready, seq, warp)`` entries keyed exactly as
-    the event loop keys them; each popped warp replays on its owning
-    core's :func:`repro.sm.replay.make_warp_runner` closure while its
-    next ready time stays strictly below the earliest other entry, so
-    the chip-wide issue order is unchanged.  Static per-CTA totals are
-    folded into the core counters once at the end, and ``state()``
-    flushes each runner's inlined cache/DRAM counters back into the
-    model objects the shared epilogue reads.
-
-    Observability rides the same loop: a core with a live collector
-    gets the instrumented runner
-    (:func:`repro.sm.replay.make_warp_runner_obs`), and the CTA
-    choreography below fires ``cta_launch`` / ``spawn`` / ``resume`` /
-    ``complete`` / ``cta_retire`` plus the chip collector's
-    ``cta_dispatch`` / ``cta_retire`` taps in exactly the event loop's
-    order; DRAM-window taps fire from the channel observers wired at
-    core construction, which the instrumented runner always routes
-    requests through.
-    """
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    barrier_latency = sm_cfg.barrier_latency
-    runners = []
-    states = []
-    spawned: list[list] = []
-    for core in cores:
-        if core.obs is not None:
-            run, state = make_warp_runner_obs(
-                sm_cfg, core.cache, core.dram, core.mshr, core.obs
-            )
-        else:
-            run, state = make_warp_runner(
-                sm_cfg, core.cache, core.dram, core.mshr
-            )
-        runners.append(run)
-        states.append(state)
-        spawned.append([])
-
-    heap: list = []
-    seq = 0
-
-    def spawn_cta(core, now: float) -> bool:
-        nonlocal seq
-        resident = core.scheduler.launch_next()
-        if resident is None:
-            return False
-        progs, ctot = cta_plan(
-            kernel,
-            core.banks,
-            resident.shared_base,
-            sm_cfg,
-            core.cache.enabled,
-            resident.index,
-        )
-        obs = core.obs
-        if obs is not None:
-            obs.cta_launch(resident.index, now, len(progs))
-        if chip_obs is not None:
-            chip_obs.cta_dispatch(
-                resident.index, core.index, now, dispatcher.remaining
-            )
-        if obs is not None:
-            for wi, prog in enumerate(progs):
-                w = _ColWarp(
-                    prog, resident, core, wid=core.warp_serial,
-                    obs_rows=sig_obs_rows(prog.sig),
-                )
-                core.warp_serial += 1
-                obs.spawn(w.wid, resident.index, wi, now)
-                w.ws = obs.warps[w.wid]
-                heappush(heap, (now, seq, w))
-                seq += 1
-        else:
-            for prog in progs:
-                w = _ColWarp(prog, resident, core)
-                heappush(heap, (now, seq, w))
-                seq += 1
-        spawned[core.index].append(ctot)
-        return True
-
-    # Breadth-first initial fill, as in the event loop.
-    progress = True
-    while progress:
-        progress = False
-        for core in cores:
-            if core.live_ctas < core.scheduler.max_concurrent and spawn_cta(core, 0.0):
-                core.live_ctas += 1
-                progress = True
-
-    INF = float("inf")
-    while heap:
-        ready, _, w = heappop(heap)
-        core = w.core
-        limit = heap[0][0] if heap else INF
-        code, value = runners[core.index](w, ready, limit)
-        if code == 0:
-            # Yield: overtaken by the earliest other warp; re-key.
-            heappush(heap, (value, seq, w))
-            seq += 1
-            continue
-        if code == 2:
-            # Warp drained at cycle ``value``.
-            obs = core.obs
-            if obs is not None:
-                obs.complete(w.wid, value)
-            cta = w.cta
-            cta.warps_outstanding -= 1
-            if cta.warps_outstanding == 0:
-                if cta.waiting_warps:
-                    raise SimulationError(
-                        f"CTA {cta.index} finished with warps still at a barrier"
-                    )
-                core.scheduler.retire(cta)
-                if obs is not None:
-                    obs.cta_retire(cta.index, value)
-                if chip_obs is not None:
-                    chip_obs.cta_retire(cta.index, core.index, value)
-                core.live_ctas -= 1
-                if spawn_cta(core, value):
-                    core.live_ctas += 1
-            continue
-        # Barrier arrival at cycle ``value``.
-        cta = w.cta
-        cta.barrier_count += 1
-        if cta.barrier_count == cta.warps_outstanding:
-            cta.barrier_count = 0
-            waiting = cta.waiting_warps
-            cta.waiting_warps = []
-            release = value + 1 + barrier_latency
-            obs = core.obs
-            for other in (*waiting, w):
-                if obs is not None:
-                    obs.resume(other.wid, release, CAUSE_BARRIER)
-                if other.pc < other.n_ops:
-                    heappush(heap, (_release_key(other, release), seq, other))
-                    seq += 1
-                else:
-                    cta.warps_outstanding -= 1
-                    if obs is not None:
-                        obs.complete(other.wid, release)
-            if cta.warps_outstanding == 0:
-                core.scheduler.retire(cta)
-                if obs is not None:
-                    obs.cta_retire(cta.index, release)
-                if chip_obs is not None:
-                    chip_obs.cta_retire(cta.index, core.index, release)
-                core.live_ctas -= 1
-                if spawn_cta(core, release):
-                    core.live_ctas += 1
-        else:
-            cta.waiting_warps.append(w)
-
-    # Fold the spawn-time static totals into each core's counters and
-    # flush runner state so the epilogue reads live model objects.
-    for core in cores:
-        rows = spawned[core.index]
-        if rows:
-            totals = [sum(col) for col in zip(*rows)]
-        else:
-            totals = [0] * N_TOTALS
-        (
-            core.instructions,
-            core.conflict_cycles,
-            core.arb_total,
-            h0,
-            h1,
-            h2,
-            h3,
-            h4,
-            core.mrf_reads,
-            core.mrf_writes,
-            core.orf_reads,
-            core.orf_writes,
-            core.lrf_reads,
-            core.lrf_writes,
-            core.shared_row_reads,
-            core.shared_row_writes,
-            core.cache_row_reads,
-            core.cache_row_writes,
-            core.tag_lookups,
-        ) = totals
-        core.hist = [h0, h1, h2, h3, h4]
-        core.issued_until, core.mem_port_free = states[core.index]()
 
 
 def simulate_chip(
@@ -751,7 +134,7 @@ def simulate_chip(
             row_hit_latency=sm_cfg.dram_row_hit_latency,
         )
 
-    cores: list[_SMCore] = []
+    cores: list[SMCore] = []
     for i in range(n):
         obs = collectors[i] if collectors[i] is not None and collectors[i].enabled else None
         hook = obs.dram_transfer if obs is not None else None
@@ -760,33 +143,13 @@ def simulate_chip(
         else:
             if chip_obs is not None:
                 hook = _tee_channel_observer(hook, chip_obs.dram_channel_transfer, i)
-            dram = DRAMChannel(
-                bytes_per_cycle=cfg.sm_bandwidth_slice,
-                latency=sm_cfg.dram_latency,
-                transaction_bytes=sm_cfg.dram_transaction_bytes,
-                observer=hook,
-                banks=sm_cfg.dram_banks,
-                row_bytes=sm_cfg.dram_row_bytes,
-                row_hit_latency=sm_cfg.dram_row_hit_latency,
+            dram = sm_cfg.make_dram_channel(
+                observer=hook, bytes_per_cycle=cfg.sm_bandwidth_slice
             )
         cores.append(
-            _SMCore(
-                index=i,
-                scheduler=CTAScheduler(
-                    kernel, partition, thread_target, cta_source=dispatcher.port(i)
-                ),
-                banks=make_bank_model(partition, cluster_port=sm_cfg.cluster_port_banks),
-                cache=DataCache(
-                    partition.cache_bytes,
-                    assoc=sm_cfg.cache_assoc,
-                    line_bytes=sm_cfg.cache_line_bytes,
-                    # Unified-allocator remainders round down explicitly
-                    # (slack stays visible on cache.slack_bytes).
-                    misaligned="floor",
-                ),
-                dram=dram,
-                mshr=sm_cfg.make_mshr_file(),
-                obs=obs,
+            SMCore(
+                i, kernel, partition, sm_cfg, thread_target, dram, obs,
+                cta_source=dispatcher.port(i),
             )
         )
 
@@ -796,77 +159,12 @@ def simulate_chip(
         # amortises within the run.  Mark the kernel warm so later
         # single-SM sims replay directly.
         kernel._plan_cache[("colwarm", sm_cfg.cache_line_bytes)] = True
-        _run_chip_columnar(kernel, sm_cfg, cores, dispatcher, chip_obs)
+        run_columnar(kernel, sm_cfg, cores, chip_obs)
     else:
-        _run_chip_event(kernel, sm_cfg, cores, dispatcher, chip_obs)
-
-
-    if dispatcher.remaining:
-        raise SimulationError(f"{dispatcher.remaining} CTAs were never dispatched")
-    for core in cores:
-        if core.live_ctas:
-            raise SimulationError(
-                f"{core.live_ctas} CTAs never finished on SM {core.index}"
-            )
+        run_event(kernel, sm_cfg, cores, chip_obs)
 
     chip_cycles = max(core.end_cycle() for core in cores)
-
-    per_sm: list[SimResult] = []
-    for core in cores:
-        h = core.banks.histogram
-        h.at_most_1 += core.hist[0]
-        h.exactly_2 += core.hist[1]
-        h.exactly_3 += core.hist[2]
-        h.exactly_4 += core.hist[3]
-        h.over_4 += core.hist[4]
-        if core.arb_total:
-            core.banks.arbitration_conflicts += core.arb_total
-        counts = EnergyCounts(
-            mrf_reads=core.mrf_reads,
-            mrf_writes=core.mrf_writes,
-            orf_reads=core.orf_reads,
-            orf_writes=core.orf_writes,
-            lrf_reads=core.lrf_reads,
-            lrf_writes=core.lrf_writes,
-            shared_row_reads=core.shared_row_reads,
-            shared_row_writes=core.shared_row_writes,
-            cache_row_reads=core.cache_row_reads,
-            cache_row_writes=core.cache_row_writes,
-            tag_lookups=core.tag_lookups,
-            dram_bits=core.dram.bits_transferred,
-        )
-        stall_cycles: dict[str, float] = {}
-        if core.obs is not None:
-            core.obs.finish(chip_cycles)
-            stall_cycles = core.obs.stall_totals()
-        sm_notes: dict = {}
-        if core.mshr is not None:
-            memsys = {"mshr": core.mshr.stats()}
-            if getattr(core.dram, "row_hits", None) is not None:
-                # Partitioned mode: the private channel's row counters.
-                memsys["dram_row_hits"] = core.dram.row_hits
-                memsys["dram_row_misses"] = core.dram.row_misses
-            sm_notes["memsys"] = memsys
-        per_sm.append(
-            SimResult(
-                kernel=kernel.name,
-                partition=partition,
-                cycles=core.end_cycle(),
-                instructions=core.instructions,
-                resident_ctas=core.scheduler.max_concurrent,
-                resident_threads=core.scheduler.limits.resident_threads,
-                regs_per_thread=kernel.regs_per_thread,
-                bank_conflict_cycles=core.conflict_cycles,
-                conflict_histogram=core.banks.histogram,
-                cache_stats=core.cache.stats,
-                dram_accesses=core.dram.accesses,
-                dram_bytes=core.dram.bytes_transferred,
-                energy_counts=counts,
-                limiting_resource=core.scheduler.limits.limiting_resource,
-                stall_cycles=stall_cycles,
-                notes=sm_notes,
-            )
-        )
+    per_sm = [core.result(chip_cycles) for core in cores]
 
     if chip_obs is not None:
         chip_obs.finish(chip_cycles)

@@ -293,12 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", choices=("columnar", "event"),
                        default="columnar",
                        help="warp-step engine: 'columnar' replays "
-                            "precompiled plans (default, fastest), "
+                            "precompiled plans once a kernel is warm "
+                            "(default, fastest; a kernel's first "
+                            "single-SM sim runs the event loop), "
                             "'event' is the per-op interpreter; results, "
                             "stall attribution, interval metrics, and "
-                            "traces are bit-identical either way -- "
-                            "instrumented commands (profile/trace, "
-                            "--profile) replay columnar too")
+                            "traces are bit-identical either way")
 
     run = sub.add_parser("run", help="simulate one benchmark", parents=[common])
     _add_design_flags(run)

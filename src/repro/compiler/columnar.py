@@ -167,9 +167,9 @@ class WarpSig:
 def sig_obs_rows(sig: WarpSig) -> tuple:
     """Per-op observability columns for the instrumented replay loops.
 
-    Returns ``(rows, causes, dsts)``, all aligned with
+    Returns ``(rows, causes)``, both aligned with
     :attr:`WarpProgram.rows` (plus a sentinel under the ``R_END`` row so
-    all share a pc).  Each row is ``(name, prods, dst)``: the
+    both share a pc).  Each row is ``(name, prods, dst)``: the
     instruction name for trace slices, the *producer pcs* of the op's
     source registers, and the destination register.  ``prods`` is the
     static last-writer relation evaluated in source-operand order --
@@ -190,10 +190,8 @@ def sig_obs_rows(sig: WarpSig) -> tuple:
     engine decides them.  Barriers take the literal name the event
     engine reports.
 
-    ``dsts`` is the destination column alone -- the single-SM
-    instrumented loop reads nothing else per memory op, so it indexes
-    the flat list instead of unpacking a row.  All three sequences are
-    static and shared across every warp of the signature.
+    Both sequences are static and shared across every warp of the
+    signature.
 
     Built lazily and cached on the signature: only instrumented replays
     pay for it, and partition sweeps over one kernel reuse the rows
@@ -224,7 +222,7 @@ def sig_obs_rows(sig: WarpSig) -> tuple:
                 last_writer[dst] = pc
         rows.append((None, (), None))
         causes.append(CI_RAW)
-        cached = (rows, causes, [r[2] for r in rows])
+        cached = (rows, causes)
         sig.obs = cached
     return cached
 

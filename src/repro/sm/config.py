@@ -61,15 +61,15 @@ class SMConfig:
     #: i.e. disabled).
     dram_row_hit_latency: int | None = None
     #: Simulation engine: ``"columnar"`` (default) replays precompiled
-    #: columnar warp programs (:mod:`repro.sm.replay`); ``"event"`` is
-    #: the legacy per-op event loop.  The two are bit-identical --
-    #: every SimResult field matches exactly (differential tests pin
-    #: this) -- so the flag never changes simulated numbers, only
-    #: wall-clock.  Instrumented runs (profile/trace collectors)
-    #: replay columnar too, with identical per-cause attribution,
-    #: interval samples, and trace events.  Being timing-neutral,
-    #: the field is excluded from experiment/chip config fingerprints
-    #: and serialized payloads.
+    #: columnar warp programs (:mod:`repro.sm.replay`) once a kernel is
+    #: warm; ``"event"`` always runs the per-op event loop.  The two are
+    #: bit-identical -- every SimResult field matches exactly, and so
+    #: does every observability payload (differential tests pin both)
+    #: -- so the flag never changes simulated numbers, only wall-clock.
+    #: ``docs/architecture.md`` states which loop each simulation takes
+    #: (a kernel's first single-SM sim runs the event loop either way).
+    #: Being timing-neutral, the field is excluded from experiment/chip
+    #: config fingerprints and serialized payloads.
     engine: str = "columnar"
 
     @property
@@ -85,20 +85,20 @@ class SMConfig:
 
         return MSHRFile(self.mshr_entries)
 
-    def make_dram_channel(self, observer=None):
-        """The SM's default private DRAM port (its 1/32 chip slice).
+    def make_dram_channel(self, observer=None, bytes_per_cycle=None):
+        """A private DRAM channel with this SM's timing parameters.
 
-        This is the seam the chip simulator replaces: anything with the
-        same ``request`` / traffic-counter surface (for example a
-        :class:`repro.memory.dram.DRAMPort` onto a shared
-        :class:`~repro.memory.dram.DRAMSystem`) can stand in for the
-        private channel via :func:`repro.sm.simulate`'s ``dram``
-        argument.
+        By default it carries ``dram_bytes_per_cycle``, the SM's 1/32
+        chip slice; a chip with partitioned DRAM passes its own
+        per-SM ``bytes_per_cycle``.
         """
         from repro.memory.dram import DRAMChannel
 
         return DRAMChannel(
-            bytes_per_cycle=self.dram_bytes_per_cycle,
+            bytes_per_cycle=(
+                self.dram_bytes_per_cycle if bytes_per_cycle is None
+                else bytes_per_cycle
+            ),
             latency=self.dram_latency,
             transaction_bytes=self.dram_transaction_bytes,
             observer=observer,
@@ -115,9 +115,15 @@ class SMConfig:
             "cache_hit_latency",
             "tex_latency",
             "dram_latency",
+            "barrier_latency",
+            "deschedule_latency",
+            "deschedule_threshold",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("cache_assoc", "cache_line_bytes", "dram_transaction_bytes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.dram_bytes_per_cycle <= 0:
             raise ValueError("dram_bytes_per_cycle must be positive")
         if self.max_threads <= 0 or self.max_threads % 32:

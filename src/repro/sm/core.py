@@ -1,0 +1,621 @@
+"""One SM core and the event-driven warp loop over any number of them.
+
+:class:`SMCore` is the state of one SM: its CTA scheduler, bank model,
+cache, MSHR file, DRAM port, observability sink, issue and memory
+pipeline clocks, and run counters.  :func:`repro.sm.simulate` builds one
+core behind a private channel with the whole grid; the chip simulator
+(:mod:`repro.chip`) builds N behind a shared dispatcher and DRAM
+system.  Both run the same two loops over their cores:
+:func:`run_event` here and :func:`repro.sm.replay.run_columnar`, and
+both close each core with :meth:`SMCore.result`.
+
+:func:`run_event` pops the earliest-ready warp from one global heap,
+serialises it on its core's issue port, resolves its instruction
+against that core's bank model / cache / DRAM port, and schedules the
+warp's next readiness.  Each warp instruction is visited exactly once,
+so the loop runs in ``O(total_ops * log(resident_warps))``; the first
+simulation of a kernel additionally pays a one-time
+``O(total_ops * warp_width)`` planning pass
+(:mod:`repro.compiler.precompute`) whose tables every later simulation
+of the same :class:`CompiledKernel` reuses.
+
+The loop dispatches on the plan's dense ``kind`` int instead of the
+``op.op.space`` / ``is_load`` enum-property chain, resolves bank
+outcomes through the bank model's ``planned_*`` memo lookups, and
+accumulates histogram buckets, arbitration conflicts, and energy events
+in per-core counters that are merged into the :class:`ConflictHistogram`
+/ :class:`~repro.sm.result.EnergyCounts` once per run.  All of this is
+strictly a constant-factor optimisation: every simulated quantity --
+cycles, conflict histogram, cache stats, DRAM traffic and request
+ordering, energy counts, stall attribution -- is bit-identical to the
+straightforward per-access evaluation, which the golden-result tests
+(``tests/integration/test_golden_results.py``) pin end to end.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass, field
+
+from repro.compiler.compiled import CompiledKernel, CompiledOp
+from repro.compiler.precompute import (
+    K_BARRIER,
+    K_GLOBAL_LOAD,
+    K_SHARED_LOAD,
+    K_SHARED_STORE,
+    K_TEX,
+    plan_kernel,
+)
+from repro.core.partition import MemoryPartition
+from repro.memory.banks import make_bank_model
+from repro.memory.cache import DataCache
+from repro.obs.collector import (
+    CAUSE_BARRIER,
+    CAUSE_MEMORY,
+    CAUSE_RAW,
+)
+from repro.sm.config import SMConfig
+from repro.sm.cta_scheduler import CTAScheduler, ResidentCTA
+from repro.sm.result import EnergyCounts, SimResult
+
+
+class SimulationError(RuntimeError):
+    """The simulation reached an inconsistent state (internal bug guard)."""
+
+
+class SMCore:
+    """One SM's private state: models, clocks, and run counters.
+
+    Everything a simulation tracks per SM lives here, because the loops
+    interleave the warps of every core through one heap and route each
+    popped warp back to its own core's issue port and counters.
+    """
+
+    __slots__ = (
+        "index",
+        "scheduler",
+        "banks",
+        "cache",
+        "dram",
+        "mshr",
+        "obs",
+        "issued_until",
+        "mem_port_free",
+        "instructions",
+        "conflict_cycles",
+        "hist",
+        "arb_total",
+        "mrf_reads",
+        "mrf_writes",
+        "orf_reads",
+        "orf_writes",
+        "lrf_reads",
+        "lrf_writes",
+        "shared_row_reads",
+        "shared_row_writes",
+        "cache_row_reads",
+        "cache_row_writes",
+        "tag_lookups",
+        "warp_serial",
+        "live_ctas",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        kernel: CompiledKernel,
+        partition: MemoryPartition,
+        cfg: SMConfig,
+        thread_target: int | None,
+        dram,
+        obs=None,
+        cta_source=None,
+    ) -> None:
+        """Build SM ``index`` of a launch of ``kernel`` under ``partition``.
+
+        ``dram`` is the core's DRAM port (a private
+        :class:`~repro.memory.dram.DRAMChannel` or a
+        :class:`~repro.memory.dram.DRAMPort` onto a shared system), with
+        any observer already attached; ``obs`` is a live collector or
+        ``None``; ``cta_source`` is the chip dispatcher's port, or
+        ``None`` to launch the whole grid in index order.
+
+        Raises:
+            repro.sm.cta_scheduler.LaunchError: If no CTA fits the
+                partition.
+        """
+        self.index = index
+        self.scheduler = CTAScheduler(
+            kernel, partition, thread_target, cta_source=cta_source
+        )
+        self.banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
+        # The unified allocator can leave any remainder as cache; model the
+        # whole sets and keep the dropped bytes visible in cache.slack_bytes.
+        self.cache = DataCache(
+            partition.cache_bytes,
+            assoc=cfg.cache_assoc,
+            line_bytes=cfg.cache_line_bytes,
+            misaligned="floor",
+        )
+        self.dram = dram
+        #: None = legacy blocking miss model (the golden-fixture default).
+        self.mshr = cfg.make_mshr_file()
+        self.obs = obs
+        self.issued_until = 0.0
+        self.mem_port_free = 0.0
+        self.instructions = 0
+        self.conflict_cycles = 0
+        self.hist = [0, 0, 0, 0, 0]
+        self.arb_total = 0
+        self.mrf_reads = 0
+        self.mrf_writes = 0
+        self.orf_reads = 0
+        self.orf_writes = 0
+        self.lrf_reads = 0
+        self.lrf_writes = 0
+        self.shared_row_reads = 0
+        self.shared_row_writes = 0
+        self.cache_row_reads = 0
+        self.cache_row_writes = 0
+        self.tag_lookups = 0
+        self.warp_serial = 0
+        self.live_ctas = 0
+
+    def end_cycle(self) -> float:
+        """When this SM went idle: issue, memory pipe, and its last DRAM."""
+        return max(self.issued_until, self.mem_port_free, self.dram.free_at)
+
+    def result(self, finish_at: float) -> SimResult:
+        """This core's :class:`SimResult` after a loop has drained it.
+
+        Merges the run counters into the bank model's histogram and the
+        energy counts.  A live collector closes its books at
+        ``finish_at``: the core's own end cycle single-SM, the chip
+        makespan at chip scope (so per-SM stall attribution conserves
+        against chip time).
+        """
+        scheduler = self.scheduler
+        if scheduler.remaining:
+            raise SimulationError(f"{scheduler.remaining} CTAs were never launched")
+        if self.live_ctas:
+            raise SimulationError(
+                f"{self.live_ctas} CTAs never finished on SM {self.index}"
+            )
+        kernel = scheduler.kernel
+        banks = self.banks
+        dram = self.dram
+        h = banks.histogram
+        h.at_most_1 += self.hist[0]
+        h.exactly_2 += self.hist[1]
+        h.exactly_3 += self.hist[2]
+        h.exactly_4 += self.hist[3]
+        h.over_4 += self.hist[4]
+        if self.arb_total:
+            banks.arbitration_conflicts += self.arb_total
+        counts = EnergyCounts(
+            mrf_reads=self.mrf_reads,
+            mrf_writes=self.mrf_writes,
+            orf_reads=self.orf_reads,
+            orf_writes=self.orf_writes,
+            lrf_reads=self.lrf_reads,
+            lrf_writes=self.lrf_writes,
+            shared_row_reads=self.shared_row_reads,
+            shared_row_writes=self.shared_row_writes,
+            cache_row_reads=self.cache_row_reads,
+            cache_row_writes=self.cache_row_writes,
+            tag_lookups=self.tag_lookups,
+            dram_bits=dram.bits_transferred,
+        )
+        stall_cycles: dict[str, float] = {}
+        if self.obs is not None:
+            self.obs.finish(finish_at)
+            stall_cycles = self.obs.stall_totals()
+        notes: dict = {}
+        if self.mshr is not None:
+            memsys = {"mshr": self.mshr.stats()}
+            if getattr(dram, "row_hits", None) is not None:
+                # A private channel keeps its own row-buffer counters; a
+                # shared-system port does not (the chip result carries the
+                # system-wide counters instead).
+                memsys["dram_row_hits"] = dram.row_hits
+                memsys["dram_row_misses"] = dram.row_misses
+            notes["memsys"] = memsys
+        return SimResult(
+            kernel=kernel.name,
+            partition=scheduler.partition,
+            cycles=self.end_cycle(),
+            instructions=self.instructions,
+            resident_ctas=scheduler.max_concurrent,
+            resident_threads=scheduler.limits.resident_threads,
+            regs_per_thread=kernel.regs_per_thread,
+            bank_conflict_cycles=self.conflict_cycles,
+            conflict_histogram=banks.histogram,
+            cache_stats=self.cache.stats,
+            dram_accesses=dram.accesses,
+            dram_bytes=dram.bytes_transferred,
+            energy_counts=counts,
+            limiting_resource=scheduler.limits.limiting_resource,
+            stall_cycles=stall_cycles,
+            notes=notes,
+        )
+
+
+@dataclass(slots=True)
+class _EventWarp:
+    """A resident warp in the event loop, and the core it executes on."""
+
+    ops: list[CompiledOp]
+    #: Per-op plans aligned with ``ops`` (see repro.compiler.precompute).
+    plans: list
+    cta: ResidentCTA
+    core: SMCore
+    pc: int = 0
+    #: Architectural register -> cycle its pending write completes.
+    pending: dict[int, float] = field(default_factory=dict)
+    #: Warp id, unique within its core (observability track key).
+    wid: int = 0
+
+    def next_ready(self, now: float) -> float:
+        """Earliest cycle the next instruction's operands are available."""
+        op = self.ops[self.pc]
+        ready = now
+        pending = self.pending
+        if pending:
+            # RAW hazards only: writes drain in program order through the
+            # in-order pipeline, so WAW to a recycled register is safe.
+            for r in op.srcs:
+                t = pending.get(r)
+                if t is not None and t > ready:
+                    ready = t
+        return ready
+
+
+def fill_cores(cores: list[SMCore], spawn_cta) -> None:
+    """Initial CTA fill, breadth-first across cores.
+
+    SM 0 gets the first CTA, SM 1 the next, ... then around again until
+    every core is at its residency limit or the grid drains.  With one
+    core this is the sequential fill CTA 0, 1, 2, ... up to
+    ``max_concurrent``.
+    """
+    progress = True
+    while progress:
+        progress = False
+        for core in cores:
+            if core.live_ctas < core.scheduler.max_concurrent and spawn_cta(core, 0.0):
+                core.live_ctas += 1
+                progress = True
+
+
+def run_event(
+    kernel: CompiledKernel, cfg: SMConfig, cores: list[SMCore], chip_obs=None
+) -> None:
+    """Run a kernel launch to completion on the per-op event loop.
+
+    One heap of ``(ready_cycle, seq, warp)`` interleaves the warps of
+    every core by readiness (``seq`` keeps FIFO order among ties), so
+    cores advance together in simulated time and their DRAM requests
+    reach a shared system in arrival order.  ``chip_obs`` is a live
+    :class:`~repro.obs.chip.ChipCollector` whose dispatcher tap sees
+    every CTA hand-out and retirement.
+    """
+    line_bytes = cfg.cache_line_bytes
+    plans_k = plan_kernel(kernel, line_bytes)
+
+    heap: list[tuple[float, int, _EventWarp]] = []
+    seq = 0  # also advanced inline by the hot loop below
+
+    def push(w: _EventWarp, now: float) -> None:
+        nonlocal seq
+        heapq.heappush(heap, (w.next_ready(now), seq, w))
+        seq += 1
+
+    def spawn_cta(core: SMCore, now: float) -> bool:
+        resident = core.scheduler.launch_next()
+        if resident is None:
+            return False
+        obs = core.obs
+        if obs is not None:
+            obs.cta_launch(resident.index, now, len(resident.cta.warps))
+        if chip_obs is not None:
+            chip_obs.cta_dispatch(
+                resident.index, core.index, now, core.scheduler.remaining
+            )
+        warp_plans = plans_k[resident.index]
+        for wi, cw in enumerate(resident.cta.warps):
+            w = _EventWarp(
+                ops=cw.ops,
+                plans=warp_plans[wi],
+                cta=resident,
+                core=core,
+                wid=core.warp_serial,
+            )
+            core.warp_serial += 1
+            if obs is not None:
+                obs.spawn(w.wid, resident.index, wi, now)
+            push(w, now)
+        return True
+
+    fill_cores(cores, spawn_cta)
+
+    # Hoisted bound methods / config scalars.  The shared-memory / cache
+    # pipeline (``core.mem_port_free``) lets bank-conflicted accesses
+    # serialise without blocking instruction issue for other warps
+    # (register-bank conflicts, by contrast, stall operand fetch and
+    # therefore the issue port itself).
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    lat_by_kind = (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
+    shared_latency = cfg.shared_latency
+    hit_latency = cfg.cache_hit_latency
+    txn_bytes = cfg.dram_transaction_bytes
+    desch_lat = cfg.deschedule_latency
+    desch_thr = cfg.deschedule_threshold
+    barrier_latency = cfg.barrier_latency
+
+    while heap:
+        ready, _, w = heappop(heap)
+        core = w.core
+        t = ready if ready > core.issued_until else core.issued_until
+        pc = w.pc
+        op = w.ops[pc]
+        pl = w.plans[pc]
+        kind = pl.kind
+        core.instructions += 1
+        obs = core.obs
+
+        if kind <= K_TEX:
+            # ALU/SFU/TEX: register-bank conflicts stall operand fetch,
+            # and with it the issue port.
+            penalty = pl.reg_penalty
+            core.hist[pl.reg_bucket] += 1
+            issue_done = t + 1 + penalty
+            completion = issue_done + lat_by_kind[kind]
+        elif kind == K_BARRIER:
+            cta = w.cta
+            cta.barrier_count += 1
+            w.pc = pc + 1
+            core.issued_until = t + 1
+            if obs is not None:
+                obs.issue(w.wid, "BARRIER", op.srcs, ready, t, t + 1)
+            if cta.barrier_count == cta.warps_outstanding:
+                cta.barrier_count = 0
+                waiting = cta.waiting_warps
+                cta.waiting_warps = []
+                release = t + 1 + barrier_latency
+                for other in (*waiting, w):
+                    if obs is not None:
+                        obs.resume(other.wid, release, CAUSE_BARRIER)
+                    if other.pc < len(other.ops):
+                        push(other, release)
+                    else:
+                        cta.warps_outstanding -= 1
+                        # A warp whose last instruction is a barrier.
+                        if obs is not None:
+                            obs.complete(other.wid, release)
+                if cta.warps_outstanding == 0:
+                    core.scheduler.retire(cta)
+                    if obs is not None:
+                        obs.cta_retire(cta.index, release)
+                    if chip_obs is not None:
+                        chip_obs.cta_retire(cta.index, core.index, release)
+                    core.live_ctas -= 1
+                    if spawn_cta(core, release):
+                        core.live_ctas += 1
+            else:
+                cta.waiting_warps.append(w)
+            continue
+        else:
+            # Memory instructions issue in one cycle; bank conflicts
+            # serialise in the memory pipeline (other warps keep issuing).
+            issue_done = t + 1
+            wb_cause = CAUSE_RAW  # latency class of the writeback (obs)
+            mshr_wait = 0.0  # cycles this op stalled for a free MSHR entry
+            if kind <= K_SHARED_STORE:
+                penalty, bucket, rows, arb = core.banks.planned_shared(
+                    pl, op.addrs, w.cta.shared_base
+                )
+                core.hist[bucket] += 1
+                core.arb_total += arb
+                if kind == K_SHARED_LOAD:
+                    core.shared_row_reads += rows
+                else:
+                    core.shared_row_writes += rows
+                mem_port_free = core.mem_port_free
+                port_start = issue_done if issue_done > mem_port_free else mem_port_free
+                data_ready = port_start + penalty
+                core.mem_port_free = port_start + 1 + penalty
+                completion = data_ready + shared_latency
+            else:  # global / local through the cache
+                penalty, bucket, rows, arb = core.banks.planned_global(pl)
+                core.hist[bucket] += 1
+                core.arb_total += arb
+                cache = core.cache
+                cache_enabled = cache.enabled
+                if cache_enabled:
+                    # A 0 KB cache has no tag array, so a disabled cache
+                    # must not accrue tag-lookup energy.
+                    core.tag_lookups += pl.n_segments
+                mem_port_free = core.mem_port_free
+                port_start = issue_done if issue_done > mem_port_free else mem_port_free
+                data_ready = port_start + penalty
+                core.mem_port_free = port_start + 1 + penalty
+                dram_request = core.dram.request
+                if kind == K_GLOBAL_LOAD:
+                    completion = data_ready
+                    if cache_enabled:
+                        core.cache_row_reads += rows
+                        cache_read = cache.read_line
+                        mshr = core.mshr
+                        if mshr is not None:
+                            # Non-blocking memory system: a primary miss
+                            # allocates an MSHR entry and an addressed
+                            # line fill; a secondary miss to an in-flight
+                            # line merges into its outstanding fill with
+                            # no extra DRAM traffic; a full file stalls
+                            # the LSU until the earliest fill retires.
+                            cur = data_ready
+                            for seg in pl.segments:
+                                hit = cache_read(seg)
+                                if obs is not None:
+                                    obs.cache_access(cur, hit)
+                                fill = mshr.outstanding(seg, cur)
+                                if fill is not None:
+                                    # The tag was installed by the
+                                    # primary miss, so the probe "hits";
+                                    # the data arrives with the fill.
+                                    mshr.secondary_merges += 1
+                                    wb_cause = CAUSE_MEMORY
+                                    done = fill
+                                elif hit:
+                                    done = cur + hit_latency
+                                else:
+                                    free = mshr.entry_free_at(cur)
+                                    if free > cur:
+                                        mshr.full_stalls += 1
+                                        mshr.full_stall_cycles += free - cur
+                                        mshr_wait += free - cur
+                                        cur = free
+                                    done = dram_request(cur, line_bytes, seg)
+                                    mshr.allocate(seg, done, cur)
+                                    wb_cause = CAUSE_MEMORY
+                                if done > completion:
+                                    completion = done
+                            if cur > core.mem_port_free:
+                                # An LSU that cannot allocate an entry
+                                # blocks the memory pipeline (structural
+                                # back-pressure); this also keeps the
+                                # DRAM request stream time-ordered.
+                                core.mem_port_free = cur
+                        elif obs is None:
+                            for seg in pl.segments:
+                                if cache_read(seg):
+                                    done = data_ready + hit_latency
+                                else:
+                                    done = dram_request(data_ready, line_bytes)
+                                    wb_cause = CAUSE_MEMORY
+                                if done > completion:
+                                    completion = done
+                        else:
+                            for seg in pl.segments:
+                                if cache_read(seg):
+                                    done = data_ready + hit_latency
+                                    obs.cache_access(data_ready, True)
+                                else:
+                                    done = dram_request(data_ready, line_bytes)
+                                    wb_cause = CAUSE_MEMORY
+                                    obs.cache_access(data_ready, False)
+                                if done > completion:
+                                    completion = done
+                    else:
+                        wb_cause = CAUSE_MEMORY
+                        ns = pl.n_sectors
+                        if ns < 0:
+                            ns = pl.sector_info(op.addrs, line_bytes)[0]
+                        for _ in range(ns):
+                            done = dram_request(data_ready, txn_bytes)
+                            if done > completion:
+                                completion = done
+                else:  # store: write-through, no-allocate, fire-and-forget
+                    completion = None
+                    if cache_enabled:
+                        core.cache_row_writes += rows
+                        cache_write = cache.write_line
+                        if obs is None:
+                            for seg in pl.segments:
+                                cache_write(seg)
+                        else:
+                            for seg in pl.segments:
+                                obs.cache_access(data_ready, cache_write(seg))
+                        # With a cache in front, the memory controller
+                        # combines write-through traffic into per-line
+                        # bursts: one DRAM access per touched line.
+                        pls = pl.per_line_sectors
+                        if pls is None:
+                            pls = pl.sector_info(op.addrs, line_bytes)[1]
+                        if core.mshr is not None:
+                            # Non-blocking mode addresses the bursts so
+                            # the DRAM row-buffer decode sees them.
+                            for seg, nsect in zip(pl.segments, pls):
+                                dram_request(data_ready, nsect * txn_bytes, seg)
+                        else:
+                            for nsect in pls:
+                                dram_request(data_ready, nsect * txn_bytes)
+                    else:
+                        ns = pl.n_sectors
+                        if ns < 0:
+                            ns = pl.sector_info(op.addrs, line_bytes)[0]
+                        for _ in range(ns):
+                            dram_request(data_ready, txn_bytes)
+
+        # ---- register file traffic -------------------------------------
+        core.mrf_reads += pl.n_mrf_reads
+        core.mrf_writes += pl.n_mrf_writes
+        core.orf_reads += op.orf_reads
+        core.orf_writes += op.orf_writes
+        core.lrf_reads += op.lrf_reads
+        core.lrf_writes += op.lrf_writes
+
+        # ---- issue/penalty accounting -----------------------------------
+        core.conflict_cycles += penalty
+        core.issued_until = issue_done
+        if op.dst is not None:
+            if completion is None or completion < issue_done:
+                completion = issue_done  # a result is never early-forwarded
+            w.pending[op.dst] = completion
+        if obs is not None:
+            # issue() reads the *old* pending entries for dependency
+            # attribution, so it runs before writeback() (dst may appear
+            # in srcs).
+            obs.issue(w.wid, op.op.name, op.srcs, ready, t, issue_done)
+            if op.dst is not None:
+                if kind <= K_TEX:
+                    cause = CAUSE_MEMORY if kind == K_TEX else CAUSE_RAW
+                    obs.writeback(w.wid, op.dst, completion, cause, 0.0)
+                else:
+                    # Memory-pipeline serialisation folded into this
+                    # op's latency: LSU-port queueing + bank conflicts.
+                    wb_conflict = (port_start - issue_done) + penalty
+                    obs.writeback(
+                        w.wid, op.dst, completion, wb_cause, wb_conflict, mshr_wait
+                    )
+
+        # ---- advance warp ------------------------------------------------
+        pc += 1
+        w.pc = pc
+        ops_w = w.ops
+        if pc < len(ops_w):
+            # Inlined _EventWarp.next_ready plus the two-level scheduler
+            # runtime model (ref [8]): a warp stalling past the threshold
+            # is descheduled and pays a reactivation latency when its
+            # dependence resolves.
+            nr = issue_done
+            pending = w.pending
+            if pending:
+                for r in ops_w[pc].srcs:
+                    t2 = pending.get(r)
+                    if t2 is not None and t2 > nr:
+                        nr = t2
+            if desch_lat and nr - issue_done > desch_thr:
+                heappush(heap, (nr + desch_lat, seq, w))
+            else:
+                heappush(heap, (nr, seq, w))
+            seq += 1
+            continue
+        if obs is not None:
+            obs.complete(w.wid, issue_done)
+        cta = w.cta
+        cta.warps_outstanding -= 1
+        if cta.warps_outstanding == 0:
+            if cta.waiting_warps:
+                raise SimulationError(
+                    f"CTA {cta.index} finished with warps still at a barrier"
+                )
+            core.scheduler.retire(cta)
+            if obs is not None:
+                obs.cta_retire(cta.index, issue_done)
+            if chip_obs is not None:
+                chip_obs.cta_retire(cta.index, core.index, issue_done)
+            core.live_ctas -= 1
+            if spawn_cta(core, issue_done):
+                core.live_ctas += 1

@@ -1,8 +1,8 @@
-"""Columnar replay engine: the ``engine="columnar"`` simulation core.
+"""Columnar replay engine: the ``engine="columnar"`` simulation loop.
 
-The event engine (:mod:`repro.sm.simulator`) visits one op per heap
+The event loop (:func:`repro.sm.core.run_event`) visits one op per heap
 pop, re-deriving dispatch, bank outcomes, dependences, and a dozen
-counters from Python object graphs each time; this core *replays* the
+counters from Python object graphs each time; this loop *replays* the
 columnar warp programs built by :mod:`repro.compiler.columnar`.  Each
 dynamic instruction costs one fused-row unpack, a few float adds, and
 (for memory ops) the cache/DRAM/MSHR calls that are the model itself.
@@ -38,18 +38,19 @@ All time quantities are integer-valued floats well below 2**53 under
 every supported config, so float addition here is exact and replaying
 the same additions in the same order reproduces bit-equal cycles.
 
-Two consumers share the op semantics: :func:`replay_simulate` is the
-single-SM engine with everything inlined into one frame, and
-:func:`make_warp_runner` packages the identical per-op body as a
-per-SM closure for the chip simulator (one runner per core over the
-core's own cache/DRAM port/MSHRs), which is how chip runs inherit the
-speedup.  Instrumented runs (a live collector) replay too:
-:func:`make_warp_runner_obs` is the same arithmetic with the
-collector's hooks fired at exactly the event engine's call sites and
-with the same arguments, so stall attribution, interval metrics, and
-trace payloads are byte-identical per cause -- the observability side
-of the bit-identity contract, enforced by
-``tests/obs/test_replay_observability.py``.
+:func:`run_columnar` is the loop both :func:`repro.sm.simulate` (one
+core) and :func:`repro.chip.simulate_chip` (N cores) run.  Each core
+steps its warps through a :func:`make_warp_runner` closure over the
+core's own cache, DRAM port, and MSHRs.  Instrumented runs (a live
+collector) replay too: :func:`make_warp_runner_obs` is the same
+arithmetic with the collector's hooks fired at exactly the event
+loop's call sites and with the same arguments, so stall attribution,
+interval metrics, and trace payloads are byte-identical per cause --
+the observability side of the bit-identity contract, enforced by
+``tests/obs/test_replay_observability.py``.  One core with nothing
+observing it runs :func:`_run_inlined`, the runner's body inlined into
+the loop's own frame; ``docs/architecture.md`` states which loop each
+simulation takes.
 """
 
 from __future__ import annotations
@@ -57,47 +58,28 @@ from __future__ import annotations
 import heapq
 
 from repro.compiler.columnar import (
+    CI_MEMORY,
+    CI_RAW,
     N_TOTALS,
-    R_END,
     _sig_table,
     cta_plan,
     sig_obs_rows,
 )
 from repro.compiler.compiled import CompiledKernel
-from repro.core.partition import MemoryPartition
-from repro.memory.banks import make_bank_model
-from repro.memory.cache import DataCache
 from repro.memory.dram import DRAMChannel
 from repro.obs.collector import (
     CAUSE_BANK_CONFLICT,
     CAUSE_BARRIER,
     CAUSE_DESCHEDULE,
     CAUSE_ISSUE_PORT,
-    CAUSE_MEMORY,
     CAUSE_MSHR_FULL,
-    CAUSE_RAW,
     STALL_CAUSES,
 )
-
-#: Integer stall-cause indices: the instrumented loops accumulate into
-#: per-warp float lists indexed by these (no dict traffic per op) and
-#: fold into ``_WarpObs.stalls`` once at the end of the run.  The fold
-#: is exact -- stall sums are integer-valued floats -- and invisible to
-#: every report: ``stall_totals`` re-keys through ``STALL_CAUSES`` so
-#: per-warp dict insertion order is never serialized.
-CI_RAW = STALL_CAUSES.index(CAUSE_RAW)
-CI_BANK = STALL_CAUSES.index(CAUSE_BANK_CONFLICT)
-CI_MEMORY = STALL_CAUSES.index(CAUSE_MEMORY)
-CI_MSHR = STALL_CAUSES.index(CAUSE_MSHR_FULL)
-CI_PORT = STALL_CAUSES.index(CAUSE_ISSUE_PORT)
-CI_DESCH = STALL_CAUSES.index(CAUSE_DESCHEDULE)
-N_CAUSES = len(STALL_CAUSES)
 from repro.obs.trace import PID_WARPS
 from repro.sm.config import SMConfig
-from repro.sm.cta_scheduler import CTAScheduler
-from repro.sm.result import EnergyCounts, SimResult
+from repro.sm.core import SMCore, SimulationError, fill_cores
 
-#: Runner outcome codes (shared with the chip simulator's loop).
+#: Runner outcome codes (see :func:`make_warp_runner`).
 YIELD = 0  # next op not ready before the heap's earliest other warp
 BARRIER = 1  # hit a barrier; CTA-level coordination needed
 DONE = 2  # warp retired
@@ -108,7 +90,7 @@ class _ColWarp:
 
     __slots__ = (
         "rows", "comp", "cta", "pc", "n_ops", "core", "wid", "obs_rows",
-        "odst", "ws", "wcaus", "wconf", "wmshr", "wstal",
+        "ws", "wcaus", "wconf", "wmshr",
     )
 
     def __init__(self, prog, cta, core=None, wid=0, obs_rows=None) -> None:
@@ -119,7 +101,8 @@ class _ColWarp:
         self.cta = cta
         self.pc = 0
         self.n_ops = prog.n_ops
-        #: Owning SM core in a chip simulation; unused single-SM.
+        #: Owning SM core (:class:`~repro.sm.core.SMCore`); the
+        #: single-core inlined frame leaves it unset.
         self.core = core
         #: Instrumented-replay state, set only when ``obs_rows`` (the
         #: :func:`~repro.compiler.columnar.sig_obs_rows` pair) is given:
@@ -129,18 +112,14 @@ class _ColWarp:
         #: image of what ``Collector.writeback`` would have stored per
         #: destination register.  ALU rows never touch them (their
         #: static cause and zero shares are the initial values).
-        #: ``wstal`` accumulates stall cycles per cause index; it is
-        #: folded into the collector's stalls dict at end of run.
         self.wid = wid
         self.ws = None
         if obs_rows is not None:
-            rows_o, causes, dsts = obs_rows
+            rows_o, causes = obs_rows
             self.obs_rows = rows_o
-            self.odst = dsts
             self.wcaus = list(causes)
             self.wconf = [0.0] * prog.n_ops
             self.wmshr = [0.0] * prog.n_ops
-            self.wstal = [0.0] * N_CAUSES
         else:
             self.obs_rows = None
 
@@ -169,10 +148,10 @@ def make_warp_runner(cfg: SMConfig, cache, dram, mshr):
     end-of-simulation cycle count.
 
     The issue port and memory pipeline port are closure state -- the
-    two scalars the event engine threads through its loop.  The op
-    bodies here and in :func:`replay_simulate` are line-for-line the
-    same arithmetic; the chip simulator calls this per core, the
-    single-SM path inlines it for one less frame per pop.
+    two scalars the event loop keeps per core.  The op bodies here and
+    in :func:`_run_inlined` are line-for-line the same arithmetic;
+    :func:`run_columnar` calls this per core, and its one-core
+    unobserved case inlines it for one less frame per pop.
     """
     dram_request = dram.request
     hit_latency = float(cfg.cache_hit_latency)
@@ -819,47 +798,206 @@ def make_warp_runner_obs(cfg: SMConfig, cache, dram, mshr, obs):
     return run, state
 
 
-def replay_simulate(
-    kernel: CompiledKernel,
-    partition: MemoryPartition,
-    config: SMConfig | None = None,
-    thread_target: int | None = None,
-    dram=None,
-    cta_source=None,
-    collector=None,
-) -> SimResult:
-    """Single-SM simulation on the columnar replay core.
+def _fold_totals(core, spawned: list) -> None:
+    """Sum the spawn-time static totals of a core's CTAs into its counters."""
+    totals = [sum(col) for col in zip(*spawned)] if spawned else [0] * N_TOTALS
+    (
+        core.instructions,
+        core.conflict_cycles,
+        core.arb_total,
+        h0,
+        h1,
+        h2,
+        h3,
+        h4,
+        core.mrf_reads,
+        core.mrf_writes,
+        core.orf_reads,
+        core.orf_writes,
+        core.lrf_reads,
+        core.lrf_writes,
+        core.shared_row_reads,
+        core.shared_row_writes,
+        core.cache_row_reads,
+        core.cache_row_writes,
+        core.tag_lookups,
+    ) = totals
+    core.hist = [h0, h1, h2, h3, h4]
 
-    Same contract and result as :func:`repro.sm.simulator.simulate`;
-    the dispatch seam there routes here when
-    ``config.engine == "columnar"`` and the kernel is warm.  With no
-    live collector the warp-step body is :func:`make_warp_runner`'s,
-    inlined into one frame so a pop costs no Python call; a live
-    collector delegates to the instrumented loop built around
-    :func:`make_warp_runner_obs`, which fires the same hooks as the
-    event engine at the same times.
+
+def run_columnar(
+    kernel: CompiledKernel, cfg: SMConfig, cores: list[SMCore], chip_obs=None
+) -> None:
+    """Run a kernel launch to completion on the columnar replay loop.
+
+    One global heap of ``(ready, seq, warp)`` entries keyed exactly as
+    :func:`repro.sm.core.run_event` keys them; each popped warp replays
+    on its owning core's :func:`make_warp_runner` closure while its next
+    ready time stays strictly below the earliest other entry, so the
+    issue order is unchanged.  Static per-CTA totals are folded into the
+    core counters once at the end, and ``state()`` flushes each runner's
+    inlined cache/DRAM counters back into the model objects
+    :meth:`~repro.sm.core.SMCore.result` reads.
+
+    Observability rides the same loop: a core with a live collector
+    gets the instrumented runner (:func:`make_warp_runner_obs`), and the
+    CTA choreography below fires ``cta_launch`` / ``spawn`` / ``resume``
+    / ``complete`` / ``cta_retire`` plus the chip collector's
+    ``cta_dispatch`` / ``cta_retire`` taps in exactly the event loop's
+    order; DRAM-window taps fire from the channel observers wired at
+    core construction, which the instrumented runner always routes
+    requests through.
+
+    A launch on one core that nothing observes runs
+    :func:`_run_inlined` instead: the same warp-step body, in one frame.
     """
-    from repro.sm.simulator import SimulationError
+    if len(cores) == 1 and cores[0].obs is None and chip_obs is None:
+        _run_inlined(kernel, cfg, cores[0])
+        return
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    barrier_latency = cfg.barrier_latency
+    runners = []
+    states = []
+    spawned: list[list] = []
+    for core in cores:
+        if core.obs is not None:
+            run, state = make_warp_runner_obs(
+                cfg, core.cache, core.dram, core.mshr, core.obs
+            )
+        else:
+            run, state = make_warp_runner(cfg, core.cache, core.dram, core.mshr)
+        runners.append(run)
+        states.append(state)
+        spawned.append([])
 
-    cfg = config or SMConfig()
-    obs = collector if collector is not None and collector.enabled else None
-    if obs is not None:
-        return _replay_simulate_obs(
-            kernel, partition, cfg, thread_target, dram, cta_source, obs
+    heap: list = []
+    seq = 0
+
+    def spawn_cta(core, now: float) -> bool:
+        nonlocal seq
+        resident = core.scheduler.launch_next()
+        if resident is None:
+            return False
+        progs, ctot = cta_plan(
+            kernel,
+            core.banks,
+            resident.shared_base,
+            cfg,
+            core.cache.enabled,
+            resident.index,
         )
-    scheduler = CTAScheduler(
-        kernel, partition, thread_target, cta_source=cta_source
-    )
-    banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
-    cache = DataCache(
-        partition.cache_bytes,
-        assoc=cfg.cache_assoc,
-        line_bytes=cfg.cache_line_bytes,
-        misaligned="floor",
-    )
-    if dram is None:
-        dram = cfg.make_dram_channel()
-    mshr = cfg.make_mshr_file()
+        obs = core.obs
+        if obs is not None:
+            obs.cta_launch(resident.index, now, len(progs))
+        if chip_obs is not None:
+            chip_obs.cta_dispatch(
+                resident.index, core.index, now, core.scheduler.remaining
+            )
+        if obs is not None:
+            for wi, prog in enumerate(progs):
+                w = _ColWarp(
+                    prog, resident, core, wid=core.warp_serial,
+                    obs_rows=sig_obs_rows(prog.sig),
+                )
+                core.warp_serial += 1
+                obs.spawn(w.wid, resident.index, wi, now)
+                w.ws = obs.warps[w.wid]
+                heappush(heap, (now, seq, w))
+                seq += 1
+        else:
+            for prog in progs:
+                w = _ColWarp(prog, resident, core)
+                heappush(heap, (now, seq, w))
+                seq += 1
+        spawned[core.index].append(ctot)
+        return True
+
+    fill_cores(cores, spawn_cta)
+
+    INF = float("inf")
+    while heap:
+        ready, _, w = heappop(heap)
+        core = w.core
+        limit = heap[0][0] if heap else INF
+        code, value = runners[core.index](w, ready, limit)
+        if code == YIELD:
+            # Overtaken by the earliest other warp; re-key.
+            heappush(heap, (value, seq, w))
+            seq += 1
+            continue
+        if code == DONE:
+            # Warp drained at cycle ``value``.
+            obs = core.obs
+            if obs is not None:
+                obs.complete(w.wid, value)
+            cta = w.cta
+            cta.warps_outstanding -= 1
+            if cta.warps_outstanding == 0:
+                if cta.waiting_warps:
+                    raise SimulationError(
+                        f"CTA {cta.index} finished with warps still at a barrier"
+                    )
+                core.scheduler.retire(cta)
+                if obs is not None:
+                    obs.cta_retire(cta.index, value)
+                if chip_obs is not None:
+                    chip_obs.cta_retire(cta.index, core.index, value)
+                core.live_ctas -= 1
+                if spawn_cta(core, value):
+                    core.live_ctas += 1
+            continue
+        # Barrier arrival at cycle ``value``.
+        cta = w.cta
+        cta.barrier_count += 1
+        if cta.barrier_count == cta.warps_outstanding:
+            cta.barrier_count = 0
+            waiting = cta.waiting_warps
+            cta.waiting_warps = []
+            release = value + 1 + barrier_latency
+            obs = core.obs
+            for other in (*waiting, w):
+                if obs is not None:
+                    obs.resume(other.wid, release, CAUSE_BARRIER)
+                if other.pc < other.n_ops:
+                    heappush(heap, (_release_key(other, release), seq, other))
+                    seq += 1
+                else:
+                    # A warp whose last instruction is a barrier.
+                    cta.warps_outstanding -= 1
+                    if obs is not None:
+                        obs.complete(other.wid, release)
+            if cta.warps_outstanding == 0:
+                core.scheduler.retire(cta)
+                if obs is not None:
+                    obs.cta_retire(cta.index, release)
+                if chip_obs is not None:
+                    chip_obs.cta_retire(cta.index, core.index, release)
+                core.live_ctas -= 1
+                if spawn_cta(core, release):
+                    core.live_ctas += 1
+        else:
+            cta.waiting_warps.append(w)
+
+    for core in cores:
+        _fold_totals(core, spawned[core.index])
+        core.issued_until, core.mem_port_free = states[core.index]()
+
+
+def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
+    """:func:`run_columnar` for one core with nothing observing it.
+
+    The warp-step body is :func:`make_warp_runner`'s, inlined into this
+    frame so a pop costs no Python call and the issue/memory clocks and
+    inlined model counters are plain locals rather than closure cells;
+    the closure runner is about 1.3x slower on single-SM sweeps, which
+    spend nearly all their simulated instructions here.
+    """
+    scheduler = core.scheduler
+    banks = core.banks
+    cache = core.cache
+    dram = core.dram
+    mshr = core.mshr
     cache_enabled = cache.enabled
     barrier_latency = cfg.barrier_latency
 
@@ -882,7 +1020,11 @@ def replay_simulate(
     cache_sets = cache._sets
     num_sets = cache.num_sets
     cache_assoc = cache.assoc
-    c_rhit = c_rmiss = c_whit = c_wmiss = 0
+    stats = cache.stats
+    c_rhit = stats.read_hits
+    c_rmiss = stats.read_misses
+    c_whit = stats.write_hits
+    c_wmiss = stats.write_misses
     # ``mshr is None`` keeps mixed accounting out: the MSHR branches
     # route fills through ``dram.request`` (which bumps the model's own
     # counters), and the write-back below would clobber those.
@@ -931,7 +1073,9 @@ def replay_simulate(
     # on those lets steady-state spawns skip cta_plan's key rebuild.
     sig_rows = _sig_table(kernel, line_bytes)
 
-    def spawn_cta(now: float) -> bool:
+    def spawn_cta(_core: SMCore, now: float) -> bool:
+        # ``_core`` is always this frame's one core (fill_cores's
+        # callback shape); the scheduler is already a local.
         nonlocal seq
         resident = scheduler.launch_next()
         if resident is None:
@@ -951,10 +1095,8 @@ def replay_simulate(
         spawned.append(ctot)
         return True
 
-    live_ctas = 0
-    for _ in range(scheduler.max_concurrent):
-        if spawn_cta(0.0):
-            live_ctas += 1
+    fill_cores([core], spawn_cta)
+    live_ctas = core.live_ctas
 
     issued_until = 0.0
     mem_port_free = 0.0
@@ -1177,7 +1319,7 @@ def replay_simulate(
                     )
                 scheduler.retire(cta)
                 live_ctas -= 1
-                if spawn_cta(issue_done):
+                if spawn_cta(core, issue_done):
                     live_ctas += 1
         else:  # barrier arrival at cycle ``t``
             cta = w.cta
@@ -1201,629 +1343,23 @@ def replay_simulate(
                 if cta.warps_outstanding == 0:
                     scheduler.retire(cta)
                     live_ctas -= 1
-                    if spawn_cta(release):
+                    if spawn_cta(core, release):
                         live_ctas += 1
             else:
                 cta.waiting_warps.append(w)
 
-    if scheduler.remaining:
-        raise SimulationError(f"{scheduler.remaining} CTAs were never launched")
-    if live_ctas:
-        raise SimulationError(f"{live_ctas} CTAs never finished")
-
     # ---- write the inlined model counters back ------------------------
-    st = cache.stats
-    st.read_hits = c_rhit
-    st.read_misses = c_rmiss
-    st.write_hits = c_whit
-    st.write_misses = c_wmiss
+    stats.read_hits = c_rhit
+    stats.read_misses = c_rmiss
+    stats.write_hits = c_whit
+    stats.write_misses = c_wmiss
     if fast_dram:
         dram.free_at = dram_free
         dram.accesses = dram_acc
         dram.bytes_transferred = dram_xfer
         dram.busy_cycles = dram_busy
         dram._last_request_time = dram_last
-
-    end = max(issued_until, mem_port_free, dram.free_at)
-    return _replay_result(
-        kernel, partition, scheduler, banks, cache, dram, mshr, spawned,
-        end, {},
-    )
-
-
-def _replay_result(
-    kernel, partition, scheduler, banks, cache, dram, mshr, spawned,
-    end, stall_cycles,
-) -> SimResult:
-    """Merge spawn-time static totals and assemble the ``SimResult``.
-
-    Shared epilogue of the uninstrumented and instrumented replay
-    loops; model counters must already be written back (the inlined
-    cache/DRAM locals in :func:`replay_simulate`, ``state()`` in the
-    instrumented path).
-    """
-    totals = (
-        [sum(col) for col in zip(*spawned)] if spawned else [0] * N_TOTALS
-    )
-    (instructions, conflict_cycles, arb_total,
-     h0, h1, h2, h3, h4,
-     mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w,
-     sh_rr, sh_rw, c_rr, c_rw, tags) = totals
-    h = banks.histogram
-    h.at_most_1 += h0
-    h.exactly_2 += h1
-    h.exactly_3 += h2
-    h.exactly_4 += h3
-    h.over_4 += h4
-    if arb_total:
-        banks.arbitration_conflicts += arb_total
-    counts = EnergyCounts()
-    counts.mrf_reads = mrf_r
-    counts.mrf_writes = mrf_w
-    counts.orf_reads = orf_r
-    counts.orf_writes = orf_w
-    counts.lrf_reads = lrf_r
-    counts.lrf_writes = lrf_w
-    counts.shared_row_reads = sh_rr
-    counts.shared_row_writes = sh_rw
-    counts.cache_row_reads = c_rr
-    counts.cache_row_writes = c_rw
-    counts.tag_lookups = tags
-    counts.dram_bits = dram.bits_transferred
-
-    notes: dict = {}
-    if mshr is not None:
-        memsys = {"mshr": mshr.stats()}
-        if getattr(dram, "row_hits", None) is not None:
-            memsys["dram_row_hits"] = dram.row_hits
-            memsys["dram_row_misses"] = dram.row_misses
-        notes["memsys"] = memsys
-    return SimResult(
-        kernel=kernel.name,
-        partition=partition,
-        cycles=end,
-        instructions=instructions,
-        resident_ctas=scheduler.max_concurrent,
-        resident_threads=scheduler.limits.resident_threads,
-        regs_per_thread=kernel.regs_per_thread,
-        bank_conflict_cycles=conflict_cycles,
-        conflict_histogram=banks.histogram,
-        cache_stats=cache.stats,
-        dram_accesses=dram.accesses,
-        dram_bytes=dram.bytes_transferred,
-        energy_counts=counts,
-        limiting_resource=scheduler.limits.limiting_resource,
-        stall_cycles=stall_cycles,
-        notes=notes,
-    )
-
-
-def _replay_simulate_obs(
-    kernel: CompiledKernel,
-    partition: MemoryPartition,
-    cfg: SMConfig,
-    thread_target,
-    dram,
-    cta_source,
-    obs,
-) -> SimResult:
-    """Instrumented single-SM replay: collector hooks at event order.
-
-    The CTA choreography (spawn, barrier release, retire) mirrors the
-    event loop's hook sequence exactly -- ``cta_launch`` before the
-    per-warp ``spawn``/push pairs, ``resume`` for every released warp
-    before it is re-keyed, ``complete``/``cta_retire`` at the same
-    timestamps -- so collector state, trace event order, and interval
-    samples are byte-identical to the event engine's.
-    """
-    from repro.sm.simulator import SimulationError
-
-    scheduler = CTAScheduler(
-        kernel, partition, thread_target, cta_source=cta_source
-    )
-    banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
-    cache = DataCache(
-        partition.cache_bytes,
-        assoc=cfg.cache_assoc,
-        line_bytes=cfg.cache_line_bytes,
-        misaligned="floor",
-    )
-    if dram is None:
-        dram = cfg.make_dram_channel(observer=obs.dram_transfer)
-    mshr = cfg.make_mshr_file()
-    cache_enabled = cache.enabled
-    barrier_latency = cfg.barrier_latency
-
-    dram_request = dram.request
-    hit_latency = float(cfg.cache_hit_latency)
-    line_bytes = cfg.cache_line_bytes
-    txn_bytes = cfg.dram_transaction_bytes
-    desch_lat = cfg.deschedule_latency
-    desch_thr = cfg.deschedule_threshold if desch_lat else float("inf")
-    if mshr is not None:
-        mshr_outstanding = mshr.outstanding
-        mshr_entry_free = mshr.entry_free_at
-        mshr_allocate = mshr.allocate
-
-    # Inlined cache probe as in replay_simulate; no fast_dram arm --
-    # the collector's transfer observer keeps every request on the
-    # model call, which is where DRAM trace slices originate.
-    cache_sets = cache._sets
-    num_sets = cache.num_sets
-    cache_assoc = cache.assoc
-    c_rhit = c_rmiss = c_whit = c_wmiss = 0
-
-    # Collector internals, hoisted as in make_warp_runner_obs.  Stall
-    # charges go to the warp's ``wstal`` float list, indexed by the
-    # CI_* cause indices, and are folded into the collector's dicts
-    # once, before ``finish`` -- trace slices (the only consumer that
-    # needs cause *names* mid-run) convert through ``CAUSES``.
-    sampler = obs.sampler
-    trace = obs.trace
-    samp_instr = sampler.add_instruction if sampler is not None else None
-    samp_cache = sampler.add_cache_access if sampler is not None else None
-    trace_slice = trace.slice if trace is not None else None
-    # A plain profiling collector (no sampler, no trace) is the common
-    # instrumented shape; one hoisted flag folds its per-op hook checks
-    # into a single branch.
-    lite = samp_instr is None and trace_slice is None
-    CAUSES = STALL_CAUSES
-    BANK = CAUSE_BANK_CONFLICT
-    MSHRF = CAUSE_MSHR_FULL
-    PORT = CAUSE_ISSUE_PORT
-    DESCH = CAUSE_DESCHEDULE
-    iBANK = CI_BANK
-    iMSHR = CI_MSHR
-    iPORT = CI_PORT
-    iDESCH = CI_DESCH
-
-    INF = float("inf")
-    # Heap entries carry what EVERY op touches -- (key, seq, warp, pc,
-    # rows, comp, cursor, stall accumulator, dep max, dep argmax); the
-    # colder obs columns (wconf / wmshr / wcaus, obs rows, warp id,
-    # _WarpObs) load from the warp object only on the branches that
-    # consume them, so the per-yield tuple build/unpack stays lean.
-    #
-    # ``cursor`` rides in the entry instead of syncing through the
-    # _WarpObs every park/pop: while a warp sits in this heap nothing
-    # reads or writes its _WarpObs cursor (``resume`` only ever touches
-    # barrier-waiting warps, which left the heap at their arrival
-    # break), and a barrier release re-pushes warps with
-    # ``cursor == release``, exactly the post-``resume`` value.  The
-    # _WarpObs is re-synced at every barrier/retire break, i.e. before
-    # anything (resume / complete / finish / conservation) reads it.
-    #
-    # ``dep max`` / ``dep argmax`` fuse the attribution's producer scan
-    # into the scheduling scan: ``deps`` is the first-occurrence dedup,
-    # in source-operand order, of the producer list ``Collector.issue``
-    # walks, so the first strict maximum over either picks the same
-    # producer (duplicates can never win a strict comparison against
-    # their own completion) and the maxima are equal.  Producer
-    # completions are final by the time either scan runs (in-order
-    # replay: every producer pc has issued), so the values computed at
-    # scheduling time still hold at issue time.
-    heap: list = [(INF, 0, None, 0, (), None, 0.0, (), -1.0, -1)]
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heappushpop = heapq.heappushpop
-    seq = 0
-    warp_serial = 0
-    spawned: list = []
-    all_warps: list = []
-    plans: dict = {}
-    sig_rows = _sig_table(kernel, cfg.cache_line_bytes)
-
-    def spawn_cta(now: float) -> bool:
-        nonlocal seq, warp_serial
-        resident = scheduler.launch_next()
-        if resident is None:
-            return False
-        pkey = (id(sig_rows[resident.index]), resident.shared_base)
-        plan = plans.get(pkey)
-        if plan is None:
-            plan = plans[pkey] = cta_plan(
-                kernel, banks, resident.shared_base, cfg, cache_enabled,
-                resident.index,
-            )
-        progs, ctot = plan
-        obs.cta_launch(resident.index, now, len(progs))
-        for wi, prog in enumerate(progs):
-            w = _ColWarp(
-                prog, resident, wid=warp_serial,
-                obs_rows=sig_obs_rows(prog.sig),
-            )
-            warp_serial += 1
-            obs.spawn(w.wid, resident.index, wi, now)
-            w.ws = obs.warps[w.wid]
-            all_warps.append(w)
-            heappush(
-                heap,
-                (now, seq, w, 0, w.rows, w.comp, now, w.wstal, -1.0, -1),
-            )
-            seq += 1
-        spawned.append(ctot)
-        return True
-
-    live_ctas = 0
-    for _ in range(scheduler.max_concurrent):
-        if spawn_cta(0.0):
-            live_ctas += 1
-
-    issued_until = 0.0
-    mem_port_free = 0.0
-    while True:
-        item = heappop(heap)
-        (ready, _, w, pc, rows, comp, cursor, wstal, dep_max,
-         dep_best) = item
-        if w is None:  # sentinel popped: no runnable warp left
-            break
-        limit = heap[0][0]
-        t = ready if ready > issued_until else issued_until
-        kind, a, b, aux, deps = rows[pc]
-        # ---- warp run: make_warp_runner_obs's body, inlined into this
-        # frame (plain locals instead of closure cells, one
-        # heappushpop per yield).  Timing arithmetic is
-        # make_warp_runner's; attribution is Collector.issue's, charged
-        # against the popped warp's own _WarpObs state.
-        while True:
-            if kind == 0:  # ALU / SFU / TEX
-                issue_done = t + a
-                comp[pc] = t + b
-            elif kind != 6:  # memory
-                # Only memory arms consult the obs columns mid-op (the
-                # destination register gating the writeback-class
-                # stores); ALU rows skip the lookups entirely.
-                dst = w.odst[pc]
-                issue_done = t + 1.0
-                port_start = (
-                    issue_done if issue_done > mem_port_free
-                    else mem_port_free
-                )
-                if kind == 1:  # shared load / store
-                    mem_port_free = port_start + a
-                    comp[pc] = port_start + b
-                    if dst is not None:
-                        w.wconf[pc] = (port_start - issue_done) + (a - 1.0)
-                else:
-                    data_ready = port_start + a
-                    mem_port_free = port_start + b
-                    if dst is not None:
-                        w.wconf[pc] = (port_start - issue_done) + a
-                    if kind == 2:  # global/local load through the cache
-                        completion = data_ready
-                        wb_ci = CI_RAW
-                        if mshr is None:  # legacy blocking miss model
-                            for li in aux[1]:
-                                ss = cache_sets[li % num_sets]
-                                if li in ss:
-                                    ss.move_to_end(li)
-                                    c_rhit += 1
-                                    done = data_ready + hit_latency
-                                    if samp_cache is not None:
-                                        samp_cache(data_ready, True)
-                                else:
-                                    c_rmiss += 1
-                                    if len(ss) >= cache_assoc:
-                                        ss.popitem(last=False)
-                                    ss[li] = None
-                                    done = dram_request(
-                                        data_ready, line_bytes
-                                    )
-                                    wb_ci = CI_MEMORY
-                                    if samp_cache is not None:
-                                        samp_cache(data_ready, False)
-                                if done > completion:
-                                    completion = done
-                        else:  # non-blocking MSHR arm
-                            mshr_wait = 0.0
-                            cur = data_ready
-                            for seg in aux[0]:
-                                li = seg // line_bytes
-                                ss = cache_sets[li % num_sets]
-                                if li in ss:
-                                    ss.move_to_end(li)
-                                    c_rhit += 1
-                                    hit = True
-                                else:
-                                    c_rmiss += 1
-                                    if len(ss) >= cache_assoc:
-                                        ss.popitem(last=False)
-                                    ss[li] = None
-                                    hit = False
-                                if samp_cache is not None:
-                                    samp_cache(cur, hit)
-                                fill = mshr_outstanding(seg, cur)
-                                if fill is not None:
-                                    mshr.secondary_merges += 1
-                                    wb_ci = CI_MEMORY
-                                    done = fill
-                                elif hit:
-                                    done = cur + hit_latency
-                                else:
-                                    free = mshr_entry_free(cur)
-                                    if free > cur:
-                                        mshr.full_stalls += 1
-                                        mshr.full_stall_cycles += free - cur
-                                        mshr_wait += free - cur
-                                        cur = free
-                                    done = dram_request(cur, line_bytes, seg)
-                                    mshr_allocate(seg, done, cur)
-                                    wb_ci = CI_MEMORY
-                                if done > completion:
-                                    completion = done
-                            if cur > mem_port_free:
-                                mem_port_free = cur
-                            if mshr_wait and dst is not None:
-                                w.wmshr[pc] = mshr_wait
-                        comp[pc] = completion
-                        # Writeback arrays start at the static latency
-                        # class (RAW, zero shares): store escalations
-                        # only.
-                        if dst is not None and wb_ci != CI_RAW:
-                            w.wcaus[pc] = wb_ci
-                    elif kind == 3:  # uncached load: per-sector DRAM
-                        completion = data_ready
-                        if dst is not None:
-                            w.wcaus[pc] = CI_MEMORY
-                        for _ in range(aux):
-                            done = dram_request(data_ready, txn_bytes)
-                            if done > completion:
-                                completion = done
-                        comp[pc] = completion
-                    elif kind == 4:  # cached store: write-through bursts
-                        for li in aux[1]:
-                            ss = cache_sets[li % num_sets]
-                            if li in ss:
-                                ss.move_to_end(li)
-                                c_whit += 1
-                                if samp_cache is not None:
-                                    samp_cache(data_ready, True)
-                            else:
-                                c_wmiss += 1
-                                if samp_cache is not None:
-                                    samp_cache(data_ready, False)
-                        if mshr is None:
-                            for nb in aux[2]:
-                                dram_request(data_ready, nb)
-                        else:
-                            for seg, nb in zip(aux[0], aux[2]):
-                                dram_request(data_ready, nb, seg)
-                        comp[pc] = issue_done
-                    else:  # kind == 5, uncached store
-                        for _ in range(aux):
-                            dram_request(data_ready, txn_bytes)
-                        comp[pc] = issue_done
-            else:  # BARRIER: attribute the issue, then hand back
-                issue_done = t + 1.0
-
-            # ---- Collector.issue, inlined (same expressions/guards) --
-            if ready > cursor:
-                # Dependency wait: the winning producer and its
-                # completion were computed by the scheduling scan that
-                # keyed this op (``dep_max`` / ``dep_best``), which
-                # walks the dedup of the same producer list, in the
-                # same order, that Collector.issue finds in its pending
-                # dict -- the strict-maximum tie-break picks the same
-                # producer.
-                dep_end = dep_max if dep_max < ready else ready
-                if dep_end > cursor:
-                    # A winning producer exists (dep_end moved), so
-                    # ``dep_best`` indexes its writeback latency class.
-                    # Carve its wait into bank-conflict, MSHR-full, and
-                    # producer-cause shares, each capped by what
-                    # remains.
-                    conflict = w.wconf[dep_best]
-                    mshrw = w.wmshr[dep_best]
-                    wait = dep_end - cursor
-                    bank = conflict if conflict < wait else wait
-                    rest = wait - bank
-                    msh = mshrw if mshrw < rest else rest
-                    cb = cursor + bank
-                    cbm = cb + msh
-                    if bank > 0.0 and cb > cursor:
-                        wstal[iBANK] += cb - cursor
-                        if trace_slice is not None:
-                            trace_slice(
-                                PID_WARPS, w.wid, BANK, "stall",
-                                cursor, cb - cursor,
-                            )
-                    if msh > 0.0 and cbm > cb:
-                        wstal[iMSHR] += cbm - cb
-                        if trace_slice is not None:
-                            trace_slice(
-                                PID_WARPS, w.wid, MSHRF, "stall", cb, cbm - cb
-                            )
-                    if dep_end > cbm:
-                        ci = w.wcaus[dep_best]
-                        wstal[ci] += dep_end - cbm
-                        if trace_slice is not None:
-                            trace_slice(
-                                PID_WARPS, w.wid, CAUSES[ci], "stall",
-                                cbm, dep_end - cbm,
-                            )
-                    cursor = dep_end
-                if ready > cursor:
-                    # Two-level scheduler reactivation latency.
-                    wstal[iDESCH] += ready - cursor
-                    if trace_slice is not None:
-                        trace_slice(
-                            PID_WARPS, w.wid, DESCH, "stall",
-                            cursor, ready - cursor,
-                        )
-                    cursor = ready
-            if t > cursor:
-                wstal[iPORT] += t - cursor
-                if trace_slice is not None:
-                    trace_slice(
-                        PID_WARPS, w.wid, PORT, "stall", cursor, t - cursor
-                    )
-            t1 = t + 1.0
-            if issue_done > t1:
-                wstal[iBANK] += issue_done - t1
-                if trace_slice is not None:
-                    trace_slice(
-                        PID_WARPS, w.wid, BANK, "stall", t1, issue_done - t1
-                    )
-            cursor = issue_done
-            if not lite:
-                if samp_instr is not None:
-                    samp_instr(t)
-                if trace_slice is not None:
-                    trace_slice(
-                        PID_WARPS, w.wid, w.obs_rows[pc][0], "issue",
-                        t, issue_done - t,
-                    )
-            if kind == 6:  # barrier: break out for CTA coordination
-                # Re-sync the _WarpObs before CTA coordination reads it
-                # (resume / complete charge from its cursor).  Ops
-                # issued == pc for an in-order replay, so the
-                # collector's issue counter is the resume pc itself --
-                # no running counter in the loop.
-                w.pc = pc + 1
-                issued_until = issue_done
-                ws = w.ws
-                ws.cursor = cursor
-                ws.issue_cycles = pc + 1
-                code = 1
-                value = t
-                break
-            pc += 1
-            kind, a, b, aux, deps = rows[pc]
-            nr = issue_done
-            dep_max = -1.0
-            dep_best = -1
-            if deps:
-                # Scheduling scan, fused with the attribution scan: the
-                # first strict maximum over the dedup'd producers is
-                # the producer Collector.issue would blame.
-                for d in deps:
-                    c = comp[d]
-                    if c > dep_max:
-                        dep_max = c
-                        dep_best = d
-                if dep_max > nr:
-                    nr = dep_max
-            elif deps is None:  # R_END sentinel: warp retired
-                issued_until = issue_done
-                ws = w.ws
-                ws.cursor = cursor
-                ws.issue_cycles = pc
-                code = 2
-                value = issue_done
-                break
-            if desch_lat and nr - issue_done > desch_thr:
-                nr += desch_lat
-            if nr < limit:
-                # Run-batched op: the event engine would push the warp
-                # keyed ``nr`` and pop it right back, so its ready and
-                # grant times both equal ``nr``.
-                t = nr
-                ready = nr
-                continue
-            # Yield: park this warp keyed ``nr`` (cursor rides in the
-            # entry; nothing reads the _WarpObs of a heap-parked warp)
-            # and resume whichever is now earliest -- one heap
-            # operation.
-            issued_until = issue_done
-            item = heappushpop(
-                heap,
-                (nr, seq, w, pc, rows, comp, cursor, wstal, dep_max,
-                 dep_best),
-            )
-            seq += 1
-            (ready, _, w, pc, rows, comp, cursor, wstal, dep_max,
-             dep_best) = item
-            limit = heap[0][0]
-            t = ready if ready > issued_until else issued_until
-            kind, a, b, aux, deps = rows[pc]
-        # ---- irregular outcomes: retire / barrier --------------------
-        if code == 2:  # warp retired at cycle ``value``
-            obs.complete(w.wid, value)
-            cta = w.cta
-            cta.warps_outstanding -= 1
-            if cta.warps_outstanding == 0:
-                if cta.waiting_warps:
-                    raise SimulationError(
-                        f"CTA {cta.index} finished with warps still at a "
-                        "barrier"
-                    )
-                scheduler.retire(cta)
-                obs.cta_retire(cta.index, value)
-                live_ctas -= 1
-                if spawn_cta(value):
-                    live_ctas += 1
-        else:  # barrier arrival at cycle ``value``
-            cta = w.cta
-            cta.barrier_count += 1
-            if cta.barrier_count == cta.warps_outstanding:
-                cta.barrier_count = 0
-                waiting = cta.waiting_warps
-                cta.waiting_warps = []
-                release = value + 1 + barrier_latency
-                for other in (*waiting, w):
-                    obs.resume(other.wid, release, CAUSE_BARRIER)
-                    if other.pc < other.n_ops:
-                        # _release_key's scan, fused with the dep
-                        # argmax the attribution needs at the next pop.
-                        comp_o = other.comp
-                        dep_max = -1.0
-                        dep_best = -1
-                        for d in other.rows[other.pc][4]:
-                            c = comp_o[d]
-                            if c > dep_max:
-                                dep_max = c
-                                dep_best = d
-                        # ``resume`` just set the warp's cursor to
-                        # ``release``; the heap entry carries that value.
-                        key = release if release > dep_max else dep_max
-                        heappush(
-                            heap,
-                            (key, seq, other, other.pc, other.rows,
-                             comp_o, release, other.wstal, dep_max,
-                             dep_best),
-                        )
-                        seq += 1
-                    else:
-                        # A warp whose last instruction is a barrier.
-                        cta.warps_outstanding -= 1
-                        obs.complete(other.wid, release)
-                if cta.warps_outstanding == 0:
-                    scheduler.retire(cta)
-                    obs.cta_retire(cta.index, release)
-                    live_ctas -= 1
-                    if spawn_cta(release):
-                        live_ctas += 1
-            else:
-                cta.waiting_warps.append(w)
-
-    if scheduler.remaining:
-        raise SimulationError(f"{scheduler.remaining} CTAs were never launched")
-    if live_ctas:
-        raise SimulationError(f"{live_ctas} CTAs never finished")
-
-    # ---- write the inlined model counters back ------------------------
-    st = cache.stats
-    st.read_hits = c_rhit
-    st.read_misses = c_rmiss
-    st.write_hits = c_whit
-    st.write_misses = c_wmiss
-
-    # Fold the per-warp stall accumulators into the collector before
-    # ``finish`` (which adds the NOT_RESIDENT charge itself).  Exact:
-    # every stall quantity is an integer-valued float, so one deferred
-    # add per cause equals the event engine's incremental adds, and
-    # nothing serializes per-warp dict insertion order (stall_totals
-    # re-keys through STALL_CAUSES, conservation uses fsum).
-    for w in all_warps:
-        stalls = w.ws.stalls
-        for ci, v in enumerate(w.wstal):
-            if v:
-                cause = CAUSES[ci]
-                stalls[cause] = stalls.get(cause, 0.0) + v
-
-    end = max(issued_until, mem_port_free, dram.free_at)
-    obs.finish(end)
-    return _replay_result(
-        kernel, partition, scheduler, banks, cache, dram, mshr, spawned,
-        end, obs.stall_totals(),
-    )
+    core.live_ctas = live_ctas
+    core.issued_until = issued_until
+    core.mem_port_free = mem_port_free
+    _fold_totals(core, spawned)

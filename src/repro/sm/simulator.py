@@ -1,93 +1,32 @@
-"""Event-driven single-SM timing simulation.
+"""Single-SM timing simulation: one core, a private channel, the whole grid.
 
 See the package docstring (:mod:`repro.sm`) for the modelling contract.
-The main loop pops the earliest-ready warp from a heap, serialises it on
-the single issue port, resolves its instruction against the bank model /
-cache / DRAM, and schedules the warp's next readiness.  Each warp
-instruction is visited exactly once, so the loop runs in
-``O(total_ops * log(resident_warps))``; the first simulation of a kernel
-additionally pays a one-time ``O(total_ops * warp_width)`` planning pass
-(:mod:`repro.compiler.precompute`) whose tables every later simulation
-of the same :class:`CompiledKernel` reuses.
-
-The loop dispatches on the plan's dense ``kind`` int instead of the
-``op.op.space`` / ``is_load`` enum-property chain, resolves bank
-outcomes through the bank model's ``planned_*`` memo lookups, and
-accumulates histogram buckets, arbitration conflicts, and energy events
-in local counters that are merged into the :class:`ConflictHistogram` /
-:class:`~repro.sm.result.EnergyCounts` once per run.  All of this is
-strictly a constant-factor optimisation: every simulated quantity --
-cycles, conflict histogram, cache stats, DRAM traffic and request
-ordering, energy counts, stall attribution -- is bit-identical to the
-straightforward per-access evaluation, which the golden-result tests
-(``tests/integration/test_golden_results.py``) pin end to end.
+:func:`simulate` is the one-core case of the chip simulator: it builds
+one :class:`~repro.sm.core.SMCore` and runs it on the same loops
+:func:`repro.chip.simulate_chip` runs N cores on -- the per-op event
+loop (:func:`repro.sm.core.run_event`) or the columnar replay loop
+(:func:`repro.sm.replay.run_columnar`).  ``docs/architecture.md``
+states which loop each simulation takes.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-
-from repro.compiler.compiled import CompiledKernel, CompiledOp
-from repro.compiler.precompute import (
-    K_BARRIER,
-    K_GLOBAL_LOAD,
-    K_SHARED_LOAD,
-    K_SHARED_STORE,
-    K_TEX,
-    plan_kernel,
-)
+from repro.compiler.compiled import CompiledKernel
 from repro.core.partition import MemoryPartition
-from repro.memory.banks import make_bank_model
-from repro.memory.cache import DataCache
-from repro.obs.collector import (
-    CAUSE_BARRIER,
-    CAUSE_MEMORY,
-    CAUSE_RAW,
-)
+from repro.sm import replay
 from repro.sm.config import SMConfig
-from repro.sm.cta_scheduler import CTAScheduler, ResidentCTA
-from repro.sm.result import EnergyCounts, SimResult
+from repro.sm.core import SimulationError, SMCore, run_event
+from repro.sm.result import SimResult
 
-class SimulationError(RuntimeError):
-    """The simulation reached an inconsistent state (internal bug guard)."""
-
-
-@dataclass(slots=True)
-class _WarpState:
-    ops: list[CompiledOp]
-    #: Per-op plans aligned with ``ops`` (see repro.compiler.precompute).
-    plans: list
-    cta: ResidentCTA
-    pc: int = 0
-    #: Architectural register -> cycle its pending write completes.
-    pending: dict[int, float] = field(default_factory=dict)
-    #: Run-unique warp id (observability track key).
-    wid: int = 0
-    #: Warp index within its CTA.
-    widx: int = 0
-
-    def next_ready(self, now: float) -> float:
-        """Earliest cycle the next instruction's operands are available."""
-        op = self.ops[self.pc]
-        ready = now
-        pending = self.pending
-        if pending:
-            # RAW hazards only: writes drain in program order through the
-            # in-order pipeline, so WAW to a recycled register is safe.
-            for r in op.srcs:
-                t = pending.get(r)
-                if t is not None and t > ready:
-                    ready = t
-        return ready
+__all__ = ["SimulationError", "resolved_engine", "simulate"]
 
 
 def resolved_engine(kernel: CompiledKernel, config: SMConfig | None) -> str:
     """Engine the *next* ``simulate`` of ``kernel`` would actually run.
 
-    The dispatch seam above is tiered: even under
+    The dispatch in :func:`simulate` is tiered: even under
     ``engine == "columnar"`` a kernel's first simulation runs the event
-    core (and warms the plan cache), so the configured engine and the
+    loop (and warms the plan cache), so the configured engine and the
     executed one can differ.  Callers that record provenance (run
     manifests, ``Runner.sim_metrics``) ask here instead of duplicating
     the warm-key rule.
@@ -105,17 +44,11 @@ def simulate(
     config: SMConfig | None = None,
     thread_target: int | None = None,
     collector=None,
-    dram=None,
-    cta_source=None,
 ) -> SimResult:
     """Run one kernel launch to completion under a memory partition.
 
-    The SM's three external dependencies are injectable, which is what
-    makes it a composable chip component (:mod:`repro.chip`): its DRAM
-    port (``dram``), its supply of work (``cta_source``), and its
-    observability sink (``collector``).  With all three left at their
-    defaults this is exactly the paper's single-SM methodology -- a
-    private 1/32-bandwidth channel and the whole grid.
+    This is the paper's single-SM methodology: one SM behind a private
+    1/32-bandwidth channel, running the whole grid.
 
     Args:
         kernel: Compiled kernel (see :func:`repro.compiler.compile_kernel`).
@@ -128,17 +61,6 @@ def simulate(
             attribution, interval metrics, and trace events.  ``None``
             (or any collector with ``enabled == False``) keeps the hot
             loop uninstrumented; instrumentation never changes timing.
-        dram: Optional DRAM port standing in for the SM's private
-            channel -- anything with ``request(now, nbytes)`` plus the
-            ``accesses`` / ``bytes_transferred`` / ``bits_transferred``
-            / ``free_at`` counters (e.g. a
-            :class:`repro.memory.dram.DRAMPort`).  The caller owns its
-            observer wiring; the default channel is built by
-            :meth:`SMConfig.make_dram_channel` with the collector's
-            transfer hook attached.
-        cta_source: Optional work supply for the CTA scheduler (see
-            :class:`repro.sm.cta_scheduler.CTAScheduler`); ``None``
-            launches the whole grid on this SM in index order.
 
     Returns:
         A :class:`~repro.sm.result.SimResult` with cycles, DRAM traffic,
@@ -150,434 +72,22 @@ def simulate(
     """
     cfg = config or SMConfig()
     obs = collector if collector is not None and collector.enabled else None
+    engine = resolved_engine(kernel, cfg)
     if cfg.engine == "columnar":
-        # Dispatch seam: warm kernels replay precompiled columnar warp
-        # programs (bit-identical results, ~2x faster once lowered) --
-        # instrumented or not; a live collector routes to the replay
-        # loop's instrumented runner, which fires the same hooks as the
-        # event loop below at the same times (see repro.sm.replay).
-        #
         # Tiered warm-up: lowering a kernel (signatures + programs)
-        # costs about as much as one event-engine run, so it only pays
+        # costs about as much as one event-loop run, so it only pays
         # off from a kernel's second simulation on.  The first sight of
-        # a kernel runs the event core and marks it; sweeps (capacity,
+        # a kernel runs the event loop and marks it; sweeps (capacity,
         # thread-target, ablation grids) replay columnar from then on,
-        # while one-shot simulations never pay an unamortised compile.
-        warm_key = ("colwarm", cfg.cache_line_bytes)
-        if warm_key in kernel._plan_cache:
-            from repro.sm.replay import replay_simulate
-
-            return replay_simulate(
-                kernel,
-                partition,
-                cfg,
-                thread_target=thread_target,
-                dram=dram,
-                cta_source=cta_source,
-                collector=collector,
-            )
-        kernel._plan_cache[warm_key] = True
-    scheduler = CTAScheduler(kernel, partition, thread_target, cta_source=cta_source)
-    banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
-    # The unified allocator can leave any remainder as cache; model the
-    # whole sets and keep the dropped bytes visible in cache.slack_bytes.
-    cache = DataCache(
-        partition.cache_bytes,
-        assoc=cfg.cache_assoc,
-        line_bytes=cfg.cache_line_bytes,
-        misaligned="floor",
+        # instrumented or not, while one-shot simulations never pay an
+        # unamortised compile.
+        kernel._plan_cache[("colwarm", cfg.cache_line_bytes)] = True
+    dram = cfg.make_dram_channel(
+        observer=obs.dram_transfer if obs is not None else None
     )
-    if dram is None:
-        dram = cfg.make_dram_channel(
-            observer=obs.dram_transfer if obs is not None else None
-        )
-    counts = EnergyCounts()
-    line_bytes = cfg.cache_line_bytes
-    plans_k = plan_kernel(kernel, line_bytes)
-    # None = legacy blocking miss model (the golden-fixture default).
-    mshr = cfg.make_mshr_file()
-
-    # Event heap of (ready_cycle, seq, warp); seq keeps FIFO order among ties.
-    heap: list[tuple[float, int, _WarpState]] = []
-    seq = 0  # also advanced inline by the hot loop below
-    warp_serial = 0
-
-    def push(w: _WarpState, now: float) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (w.next_ready(now), seq, w))
-        seq += 1
-
-    def spawn_cta(now: float) -> bool:
-        nonlocal warp_serial
-        resident = scheduler.launch_next()
-        if resident is None:
-            return False
-        if obs is not None:
-            obs.cta_launch(resident.index, now, len(resident.cta.warps))
-        warp_plans = plans_k[resident.index]
-        for wi, cw in enumerate(resident.cta.warps):
-            w = _WarpState(
-                ops=cw.ops,
-                plans=warp_plans[wi],
-                cta=resident,
-                wid=warp_serial,
-                widx=wi,
-            )
-            warp_serial += 1
-            if obs is not None:
-                obs.spawn(w.wid, resident.index, wi, now)
-            push(w, now)
-        return True
-
-    live_ctas = 0
-    for _ in range(scheduler.max_concurrent):
-        if spawn_cta(0.0):
-            live_ctas += 1
-
-    issued_until = 0.0
-    # The shared-memory / cache pipeline: bank-conflicted accesses
-    # serialise here without blocking instruction issue for other warps
-    # (register-bank conflicts, by contrast, stall operand fetch and
-    # therefore the issue port itself).
-    mem_port_free = 0.0
-    instructions = 0
-    conflict_cycles = 0
-
-    # Hoisted bound methods / config scalars and local accumulators --
-    # merged into banks.histogram / EnergyCounts once after the loop.
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    planned_shared = banks.planned_shared
-    planned_global = banks.planned_global
-    cache_read = cache.read_line
-    cache_write = cache.write_line
-    dram_request = dram.request
-    cache_enabled = cache.enabled
-    lat_by_kind = (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
-    shared_latency = cfg.shared_latency
-    hit_latency = cfg.cache_hit_latency
-    txn_bytes = cfg.dram_transaction_bytes
-    desch_lat = cfg.deschedule_latency
-    desch_thr = cfg.deschedule_threshold
-    hist = [0, 0, 0, 0, 0]
-    arb_total = 0
-    mrf_reads_t = mrf_writes_t = 0
-    orf_reads_t = orf_writes_t = 0
-    lrf_reads_t = lrf_writes_t = 0
-    shared_row_reads_t = shared_row_writes_t = 0
-    cache_row_reads_t = cache_row_writes_t = 0
-    tag_lookups_t = 0
-
-    while heap:
-        ready, _, w = heappop(heap)
-        t = ready if ready > issued_until else issued_until
-        pc = w.pc
-        op = w.ops[pc]
-        pl = w.plans[pc]
-        kind = pl.kind
-        instructions += 1
-
-        if kind <= K_TEX:
-            # ALU/SFU/TEX: register-bank conflicts stall operand fetch,
-            # and with it the issue port.
-            penalty = pl.reg_penalty
-            hist[pl.reg_bucket] += 1
-            issue_done = t + 1 + penalty
-            completion = issue_done + lat_by_kind[kind]
-        elif kind == K_BARRIER:
-            cta = w.cta
-            cta.barrier_count += 1
-            w.pc = pc + 1
-            issued_until = t + 1
-            if obs is not None:
-                obs.issue(w.wid, "BARRIER", op.srcs, ready, t, t + 1)
-            if cta.barrier_count == cta.warps_outstanding:
-                cta.barrier_count = 0
-                waiting = cta.waiting_warps
-                cta.waiting_warps = []
-                release = t + 1 + cfg.barrier_latency
-                for other in (*waiting, w):
-                    if obs is not None:
-                        obs.resume(other.wid, release, CAUSE_BARRIER)
-                    if other.pc < len(other.ops):
-                        push(other, release)
-                    else:
-                        cta.warps_outstanding -= 1
-                        # A warp whose last instruction is a barrier.
-                        if obs is not None:
-                            obs.complete(other.wid, release)
-                if cta.warps_outstanding == 0:
-                    scheduler.retire(cta)
-                    if obs is not None:
-                        obs.cta_retire(cta.index, release)
-                    live_ctas -= 1
-                    if spawn_cta(release):
-                        live_ctas += 1
-            else:
-                cta.waiting_warps.append(w)
-            continue
-        else:
-            # Memory instructions issue in one cycle; bank conflicts
-            # serialise in the memory pipeline (other warps keep issuing).
-            issue_done = t + 1
-            wb_cause = CAUSE_RAW  # latency class of the writeback (obs)
-            mshr_wait = 0.0  # cycles this op stalled for a free MSHR entry
-            if kind <= K_SHARED_STORE:
-                penalty, bucket, rows, arb = planned_shared(
-                    pl, op.addrs, w.cta.shared_base
-                )
-                hist[bucket] += 1
-                arb_total += arb
-                if kind == K_SHARED_LOAD:
-                    shared_row_reads_t += rows
-                else:
-                    shared_row_writes_t += rows
-                port_start = issue_done if issue_done > mem_port_free else mem_port_free
-                data_ready = port_start + penalty
-                mem_port_free = port_start + 1 + penalty
-                completion = data_ready + shared_latency
-            else:  # global / local through the cache
-                penalty, bucket, rows, arb = planned_global(pl)
-                hist[bucket] += 1
-                arb_total += arb
-                if cache_enabled:
-                    # A 0 KB cache has no tag array, so a disabled cache
-                    # must not accrue tag-lookup energy.
-                    tag_lookups_t += pl.n_segments
-                port_start = issue_done if issue_done > mem_port_free else mem_port_free
-                data_ready = port_start + penalty
-                mem_port_free = port_start + 1 + penalty
-                if kind == K_GLOBAL_LOAD:
-                    completion = data_ready
-                    if cache_enabled:
-                        cache_row_reads_t += rows
-                        if mshr is not None:
-                            # Non-blocking memory system: a primary miss
-                            # allocates an MSHR entry and an addressed
-                            # line fill; a secondary miss to an in-flight
-                            # line merges into its outstanding fill with
-                            # no extra DRAM traffic; a full file stalls
-                            # the LSU until the earliest fill retires.
-                            cur = data_ready
-                            for seg in pl.segments:
-                                hit = cache_read(seg)
-                                if obs is not None:
-                                    obs.cache_access(cur, hit)
-                                fill = mshr.outstanding(seg, cur)
-                                if fill is not None:
-                                    # The tag was installed by the
-                                    # primary miss, so the probe "hits";
-                                    # the data arrives with the fill.
-                                    mshr.secondary_merges += 1
-                                    wb_cause = CAUSE_MEMORY
-                                    done = fill
-                                elif hit:
-                                    done = cur + hit_latency
-                                else:
-                                    free = mshr.entry_free_at(cur)
-                                    if free > cur:
-                                        mshr.full_stalls += 1
-                                        mshr.full_stall_cycles += free - cur
-                                        mshr_wait += free - cur
-                                        cur = free
-                                    done = dram_request(cur, line_bytes, seg)
-                                    mshr.allocate(seg, done, cur)
-                                    wb_cause = CAUSE_MEMORY
-                                if done > completion:
-                                    completion = done
-                            if cur > mem_port_free:
-                                # An LSU that cannot allocate an entry
-                                # blocks the memory pipeline (structural
-                                # back-pressure); this also keeps the
-                                # DRAM request stream time-ordered.
-                                mem_port_free = cur
-                        elif obs is None:
-                            for seg in pl.segments:
-                                if cache_read(seg):
-                                    done = data_ready + hit_latency
-                                else:
-                                    done = dram_request(data_ready, line_bytes)
-                                    wb_cause = CAUSE_MEMORY
-                                if done > completion:
-                                    completion = done
-                        else:
-                            for seg in pl.segments:
-                                if cache_read(seg):
-                                    done = data_ready + hit_latency
-                                    obs.cache_access(data_ready, True)
-                                else:
-                                    done = dram_request(data_ready, line_bytes)
-                                    wb_cause = CAUSE_MEMORY
-                                    obs.cache_access(data_ready, False)
-                                if done > completion:
-                                    completion = done
-                    else:
-                        wb_cause = CAUSE_MEMORY
-                        ns = pl.n_sectors
-                        if ns < 0:
-                            ns = pl.sector_info(op.addrs, line_bytes)[0]
-                        for _ in range(ns):
-                            done = dram_request(data_ready, txn_bytes)
-                            if done > completion:
-                                completion = done
-                else:  # store: write-through, no-allocate, fire-and-forget
-                    completion = None
-                    if cache_enabled:
-                        cache_row_writes_t += rows
-                        if obs is None:
-                            for seg in pl.segments:
-                                cache_write(seg)
-                        else:
-                            for seg in pl.segments:
-                                obs.cache_access(data_ready, cache_write(seg))
-                        # With a cache in front, the memory controller
-                        # combines write-through traffic into per-line
-                        # bursts: one DRAM access per touched line.
-                        pls = pl.per_line_sectors
-                        if pls is None:
-                            pls = pl.sector_info(op.addrs, line_bytes)[1]
-                        if mshr is not None:
-                            # Non-blocking mode addresses the bursts so
-                            # the DRAM row-buffer decode sees them.
-                            for seg, nsect in zip(pl.segments, pls):
-                                dram_request(data_ready, nsect * txn_bytes, seg)
-                        else:
-                            for nsect in pls:
-                                dram_request(data_ready, nsect * txn_bytes)
-                    else:
-                        ns = pl.n_sectors
-                        if ns < 0:
-                            ns = pl.sector_info(op.addrs, line_bytes)[0]
-                        for _ in range(ns):
-                            dram_request(data_ready, txn_bytes)
-
-        # ---- register file traffic -------------------------------------
-        mrf_reads_t += pl.n_mrf_reads
-        mrf_writes_t += pl.n_mrf_writes
-        orf_reads_t += op.orf_reads
-        orf_writes_t += op.orf_writes
-        lrf_reads_t += op.lrf_reads
-        lrf_writes_t += op.lrf_writes
-
-        # ---- issue/penalty accounting -----------------------------------
-        conflict_cycles += penalty
-        issued_until = issue_done
-        if op.dst is not None:
-            if completion is None or completion < issue_done:
-                completion = issue_done  # a result is never early-forwarded
-            w.pending[op.dst] = completion
-        if obs is not None:
-            # issue() reads the *old* pending entries for dependency
-            # attribution, so it runs before writeback() (dst may appear
-            # in srcs).
-            obs.issue(w.wid, op.op.name, op.srcs, ready, t, issue_done)
-            if op.dst is not None:
-                if kind <= K_TEX:
-                    cause = CAUSE_MEMORY if kind == K_TEX else CAUSE_RAW
-                    obs.writeback(w.wid, op.dst, completion, cause, 0.0)
-                else:
-                    # Memory-pipeline serialisation folded into this
-                    # op's latency: LSU-port queueing + bank conflicts.
-                    wb_conflict = (port_start - issue_done) + penalty
-                    obs.writeback(
-                        w.wid, op.dst, completion, wb_cause, wb_conflict, mshr_wait
-                    )
-
-        # ---- advance warp ------------------------------------------------
-        pc += 1
-        w.pc = pc
-        ops_w = w.ops
-        if pc < len(ops_w):
-            # Inlined _WarpState.next_ready plus the two-level scheduler
-            # runtime model (ref [8]): a warp stalling past the threshold
-            # is descheduled and pays a reactivation latency when its
-            # dependence resolves.
-            nr = issue_done
-            pending = w.pending
-            if pending:
-                for r in ops_w[pc].srcs:
-                    t2 = pending.get(r)
-                    if t2 is not None and t2 > nr:
-                        nr = t2
-            if desch_lat and nr - issue_done > desch_thr:
-                heappush(heap, (nr + desch_lat, seq, w))
-            else:
-                heappush(heap, (nr, seq, w))
-            seq += 1
-            continue
-        if obs is not None:
-            obs.complete(w.wid, issue_done)
-        cta = w.cta
-        cta.warps_outstanding -= 1
-        if cta.warps_outstanding == 0:
-            if cta.waiting_warps:
-                raise SimulationError(
-                    f"CTA {cta.index} finished with warps still at a barrier"
-                )
-            scheduler.retire(cta)
-            if obs is not None:
-                obs.cta_retire(cta.index, issue_done)
-            live_ctas -= 1
-            if spawn_cta(issue_done):
-                live_ctas += 1
-
-    if scheduler.remaining:
-        raise SimulationError(f"{scheduler.remaining} CTAs were never launched")
-    if live_ctas:
-        raise SimulationError(f"{live_ctas} CTAs never finished")
-
-    # ---- merge local accumulators -------------------------------------
-    h = banks.histogram
-    h.at_most_1 += hist[0]
-    h.exactly_2 += hist[1]
-    h.exactly_3 += hist[2]
-    h.exactly_4 += hist[3]
-    h.over_4 += hist[4]
-    if arb_total:
-        banks.arbitration_conflicts += arb_total
-    counts.mrf_reads = mrf_reads_t
-    counts.mrf_writes = mrf_writes_t
-    counts.orf_reads = orf_reads_t
-    counts.orf_writes = orf_writes_t
-    counts.lrf_reads = lrf_reads_t
-    counts.lrf_writes = lrf_writes_t
-    counts.shared_row_reads = shared_row_reads_t
-    counts.shared_row_writes = shared_row_writes_t
-    counts.cache_row_reads = cache_row_reads_t
-    counts.cache_row_writes = cache_row_writes_t
-    counts.tag_lookups = tag_lookups_t
-
-    counts.dram_bits = dram.bits_transferred
-    end = max(issued_until, mem_port_free, dram.free_at)
-    stall_cycles: dict[str, float] = {}
-    if obs is not None:
-        obs.finish(end)
-        stall_cycles = obs.stall_totals()
-    notes: dict = {}
-    if mshr is not None:
-        memsys = {"mshr": mshr.stats()}
-        if getattr(dram, "row_hits", None) is not None:
-            # A private channel keeps its own row-buffer counters; a
-            # shared-system port does not (the chip result carries the
-            # system-wide counters instead).
-            memsys["dram_row_hits"] = dram.row_hits
-            memsys["dram_row_misses"] = dram.row_misses
-        notes["memsys"] = memsys
-    return SimResult(
-        kernel=kernel.name,
-        partition=partition,
-        cycles=end,
-        instructions=instructions,
-        resident_ctas=scheduler.max_concurrent,
-        resident_threads=scheduler.limits.resident_threads,
-        regs_per_thread=kernel.regs_per_thread,
-        bank_conflict_cycles=conflict_cycles,
-        conflict_histogram=banks.histogram,
-        cache_stats=cache.stats,
-        dram_accesses=dram.accesses,
-        dram_bytes=dram.bytes_transferred,
-        energy_counts=counts,
-        limiting_resource=scheduler.limits.limiting_resource,
-        stall_cycles=stall_cycles,
-        notes=notes,
-    )
+    core = SMCore(0, kernel, partition, cfg, thread_target, dram, obs)
+    if engine == "columnar":
+        replay.run_columnar(kernel, cfg, [core])
+    else:
+        run_event(kernel, cfg, [core])
+    return core.result(core.end_cycle())

@@ -7,6 +7,11 @@ histogram, cache stats, energy counts, stall totals -- for 6 kernels x
 is the cycle-identity contract performance work on the hot loop is held
 to (docs/performance.md); regenerate via tests/golden/generate.py only
 for deliberate model changes.
+
+``test_golden_result_exact`` runs each case the way a default run does
+(the tiered warm-up picks the engine); ``test_golden_result_on_engine``
+pins every case on both engines: the per-op event loop, and the
+columnar replay loop's single-core inlined frame.
 """
 
 import json
@@ -15,15 +20,25 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import Runner
+from repro.sm.config import SMConfig
 from repro.sm.serialize import result_from_dict, result_to_dict
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 CASES = sorted(p.name for p in GOLDEN_DIR.glob("*__*.json"))
+ENGINES = ("event", "columnar")
 
 
 @pytest.fixture(scope="module")
 def rn():
     return Runner("tiny")
+
+
+@pytest.fixture(scope="module")
+def engine_runners():
+    # One runner per engine: sim memo keys leave the (timing-neutral)
+    # engine out, so a shared memo would hand one engine's result to
+    # the other.
+    return {engine: Runner("tiny", SMConfig(engine=engine)) for engine in ENGINES}
 
 
 def test_fixture_set_is_complete():
@@ -35,8 +50,7 @@ def test_fixture_set_is_complete():
     assert len(CASES) == len(kernels) * len(designs)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_golden_result_exact(case, rn):
+def _check_case(rn, case):
     from tests.golden.generate import case_result
 
     stored = json.loads((GOLDEN_DIR / case).read_text())
@@ -49,3 +63,20 @@ def test_golden_result_exact(case, rn):
     )
     # The fixture itself must round-trip through the serializer.
     assert result_to_dict(result_from_dict(stored)) == stored
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_result_exact(case, rn):
+    _check_case(rn, case)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_golden_result_on_engine(engine, case, engine_runners):
+    rn = engine_runners[engine]
+    if engine == "columnar":
+        # Defeat the tiered warm-up (a kernel's first sim runs the event
+        # loop) so every case reaches the replay loop.
+        ck = rn.compiled(case.split("__")[0])
+        ck._plan_cache[("colwarm", rn.config.cache_line_bytes)] = True
+    _check_case(rn, case)

@@ -181,13 +181,13 @@ def test_instrumented_run_uses_replay_path(runner, monkeypatch):
     import repro.sm.replay as replay_mod
 
     calls = []
-    real = replay_mod.replay_simulate
+    real = replay_mod.run_columnar
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(replay_mod, "replay_simulate", spy)
+    monkeypatch.setattr(replay_mod, "run_columnar", spy)
     ck = runner.compiled("vectoradd")
     cfg = replace(runner.config, engine="columnar")
     _warm(ck, cfg)

@@ -133,6 +133,17 @@ class TestConfigValidation:
             dict(dram_banks=0),
             dict(dram_row_bytes=0),
             dict(dram_row_hit_latency=-1),
+            # Negative latencies used to simulate, finishing early with
+            # broken per-warp stall conservation.
+            dict(barrier_latency=-200),
+            dict(deschedule_latency=-30, deschedule_threshold=0),
+            dict(deschedule_threshold=-1),
+            # Used to fail only inside simulate(), building the cache or
+            # the DRAM channel.
+            dict(cache_assoc=0),
+            dict(cache_line_bytes=0),
+            dict(cache_line_bytes=-128),
+            dict(dram_transaction_bytes=0),
         ],
     )
     def test_bad_memsys_fields_rejected(self, kwargs):
