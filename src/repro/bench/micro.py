@@ -150,38 +150,15 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
 
     rn = Runner(scale)
     baseline = partitioned_baseline()
-    # The un-suffixed entries run whatever engine the default SMConfig
-    # selects (columnar since the replay engine landed); the explicit
-    # ``.columnar`` / ``.event`` pair pins each engine so the replayer's
-    # advantage -- and any event-loop regression -- stays measured even
-    # if the default moves again.
-    col_cfg = replace(rn.config, engine="columnar")
-    ev_cfg = replace(rn.config, engine="event")
     entries: list[BenchEntry] = []
     for name in SIM_KERNELS:
         ck = rn.compiled(name)
-        # Defeat the tiered warm-up: the seam routes a kernel's first
-        # uninstrumented sim to the event core, and the ``.columnar``
-        # entry must time the replayer even at --repeats 1.
-        ck._plan_cache[("colwarm", col_cfg.cache_line_bytes)] = True
 
         def run_base(ck=ck):
             r = simulate(ck, baseline, rn.config)
             return {"cycles": r.cycles, "instructions": r.instructions}
 
         entries.append(timed(f"sim.{name}.baseline", run_base, repeats))
-
-        def run_col(ck=ck):
-            r = simulate(ck, baseline, col_cfg)
-            return {"cycles": r.cycles, "instructions": r.instructions}
-
-        entries.append(timed(f"sim.{name}.columnar", run_col, repeats))
-
-        def run_ev(ck=ck):
-            r = simulate(ck, baseline, ev_cfg)
-            return {"cycles": r.cycles, "instructions": r.instructions}
-
-        entries.append(timed(f"sim.{name}.event", run_ev, repeats))
         try:
             uni = rn.allocation(name).partition
         except Exception:
@@ -207,31 +184,21 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
 
     entries.append(timed("sim.matrixmul.nonblocking", run_nonblocking, repeats))
 
-    # Instrumented per-engine pair: the replay path drives the full
-    # observability stack (collector + stall attribution), so its
-    # speedup over the instrumented event engine -- the number
-    # docs/performance.md quotes -- stays measured.  Non-blocking
-    # banked config: the hardest attribution arm (bank/MSHR splitting).
-    def run_profiled(cfg):
-        def body():
-            from repro.obs import Collector
+    # Instrumented run: the replay loop driving the full observability
+    # stack (collector + stall attribution) on the non-blocking banked
+    # config, the hardest attribution arm (bank/MSHR splitting).  The
+    # id keeps its ``.columnar`` suffix so committed baselines still
+    # gate this path.
+    def run_profiled():
+        from repro.obs import Collector
 
-            col = Collector()
-            r = simulate(ck, baseline, cfg, collector=col)
-            assert col.conservation_errors() == []
-            return {"cycles": r.cycles, "instructions": r.instructions,
-                    "warps": len(col.warps)}
+        col = Collector()
+        r = simulate(ck, baseline, nb_cfg, collector=col)
+        assert col.conservation_errors() == []
+        return {"cycles": r.cycles, "instructions": r.instructions,
+                "warps": len(col.warps)}
 
-        return body
-
-    nb_col = replace(nb_cfg, engine="columnar")
-    nb_ev = replace(nb_cfg, engine="event")
-    entries.append(
-        timed("sim.matrixmul.columnar.profiled", run_profiled(nb_col), repeats)
-    )
-    entries.append(
-        timed("sim.matrixmul.event.profiled", run_profiled(nb_ev), repeats)
-    )
+    entries.append(timed("sim.matrixmul.columnar.profiled", run_profiled, repeats))
     return entries
 
 

@@ -7,7 +7,7 @@ explicit: :func:`simulate_chip` builds ``num_sms``
 port, CTA source, and collector -- behind a shared
 :class:`~repro.memory.dram.DRAMSystem`, with a GigaThread-style
 :class:`CTADispatcher` spreading the grid across SMs, and runs them on
-the same loops as :func:`repro.sm.simulate`.
+the same loop as :func:`repro.sm.simulate`.
 
 ``ChipConfig.single_sm()`` -- one SM, private full-slice channel -- is
 the degenerate case that reproduces the paper's methodology (and the

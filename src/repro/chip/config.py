@@ -96,12 +96,6 @@ def chip_fingerprint(chip: ChipConfig) -> tuple:
     for f in fields(ChipConfig):
         value = getattr(chip, f.name)
         if f.name == "sm":
-            # engine is timing-neutral (bit-identical engines), so it
-            # must not perturb the fingerprint.
-            value = tuple(
-                (g.name, getattr(value, g.name))
-                for g in fields(SMConfig)
-                if g.name != "engine"
-            )
+            value = tuple((g.name, getattr(value, g.name)) for g in fields(SMConfig))
         pairs.append((f.name, value))
     return tuple(pairs)

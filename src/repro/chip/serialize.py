@@ -39,13 +39,7 @@ def chip_config_to_dict(chip: ChipConfig) -> dict:
     for f in fields(ChipConfig):
         value = getattr(chip, f.name)
         if f.name == "sm":
-            # engine is timing-neutral and deliberately left out, so
-            # payloads stay comparable across engine defaults.
-            value = {
-                g.name: getattr(value, g.name)
-                for g in fields(SMConfig)
-                if g.name != "engine"
-            }
+            value = {g.name: getattr(value, g.name) for g in fields(SMConfig)}
         d[f.name] = value
     return d
 
@@ -57,7 +51,7 @@ def chip_config_from_dict(d: dict) -> ChipConfig:
         value = d[f.name]
         if f.name == "sm":
             # Tolerate absent fields so payloads written before a
-            # default-valued field (e.g. engine) existed still load.
+            # default-valued field existed still load.
             value = SMConfig(**{
                 g.name: value[g.name]
                 for g in fields(SMConfig)

@@ -5,9 +5,8 @@
 :class:`~repro.chip.dispatch.CTADispatcher` handing out the grid, a
 shared :class:`~repro.memory.dram.DRAMSystem` (or private per-SM
 slices), and the :class:`~repro.obs.chip.ChipCollector` taps -- runs
-them on the same loops :func:`repro.sm.simulate` runs its one core on
-(:func:`repro.sm.core.run_event` and
-:func:`repro.sm.replay.run_columnar`), and assembles the
+them on the columnar replay loop :func:`repro.sm.simulate` runs its one
+core on (:func:`repro.sm.replay.run_columnar`), and assembles the
 :class:`~repro.chip.result.ChipResult`.
 
 One global event heap interleaves the warps of every SM by readiness,
@@ -30,8 +29,8 @@ from repro.chip.result import ChipResult
 from repro.compiler.compiled import CompiledKernel
 from repro.core.partition import MemoryPartition
 from repro.memory.dram import DRAMSystem
-from repro.sm.core import SMCore, run_event
-from repro.sm.replay import run_columnar
+from repro.sm import replay
+from repro.sm.core import SMCore
 
 
 def _tee_channel_observer(sm_hook, chip_hook, channel: int):
@@ -153,15 +152,7 @@ def simulate_chip(
             )
         )
 
-    if sm_cfg.engine == "columnar":
-        # No tiered warm-up at chip scope: one chip simulation runs the
-        # kernel on every SM (instrumented or not), so lowering
-        # amortises within the run.  Mark the kernel warm so later
-        # single-SM sims replay directly.
-        kernel._plan_cache[("colwarm", sm_cfg.cache_line_bytes)] = True
-        run_columnar(kernel, sm_cfg, cores, chip_obs)
-    else:
-        run_event(kernel, sm_cfg, cores, chip_obs)
+    replay.run_columnar(kernel, sm_cfg, cores, chip_obs)
 
     chip_cycles = max(core.end_cycle() for core in cores)
     per_sm = [core.result(chip_cycles) for core in cores]

@@ -109,6 +109,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _add_executor_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="worker processes for independent simulations "
@@ -138,16 +145,22 @@ def _sm_config(args: argparse.Namespace):
 
     Commands without the flag group (``experiment``, ``suite``, ...)
     fall through to the Table 2 defaults, i.e. the blocking model.
+    Flag values each valid alone can still combine into a config
+    SMConfig rejects (a row-hit latency above the DRAM latency); that
+    is a usage error, reported the way argparse reports one.
     """
     from repro.sm.config import SMConfig
 
-    return SMConfig(
-        mshr_entries=getattr(args, "mshr_entries", 0),
-        dram_banks=getattr(args, "dram_banks", 1),
-        dram_row_bytes=getattr(args, "dram_row_bytes", 2048),
-        dram_row_hit_latency=getattr(args, "dram_row_hit_latency", None),
-        engine=getattr(args, "engine", "columnar"),
-    )
+    try:
+        return SMConfig(
+            mshr_entries=getattr(args, "mshr_entries", 0),
+            dram_banks=getattr(args, "dram_banks", 1),
+            dram_row_bytes=getattr(args, "dram_row_bytes", 2048),
+            dram_row_hit_latency=getattr(args, "dram_row_hit_latency", None),
+        )
+    except ValueError as e:
+        log.error("repro %s: error: %s", args.command, e)
+        raise SystemExit(2) from e
 
 
 def _make_executor(args: argparse.Namespace):
@@ -207,7 +220,6 @@ def _finish_run(
             experiments=experiments,
             executor=executor,
             chip=chip_summary,
-            engines=runner.engine_summary(),
         )
         path = runner.cache.put_manifest(manifest)
         log.info("wrote run manifest to %s", path)
@@ -257,13 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("benchmark")
         p.add_argument("--design", choices=("baseline", "fermi", "unified"),
                        default="unified")
-        p.add_argument("--capacity", type=int, default=384, metavar="KB",
+        p.add_argument("--capacity", type=_positive_int, default=384, metavar="KB",
                        help="unified pool capacity in KB (default 384)")
         p.add_argument("--scale", default="small",
                        choices=("tiny", "small", "paper"))
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_positive_int, default=None,
                        help="thread target (default: occupancy decides)")
-        p.add_argument("--regs", type=int, default=None,
+        p.add_argument("--regs", type=_positive_int, default=None,
                        help="registers/thread (default: no-spill budget)")
 
     def _add_memsys_flags(p: argparse.ArgumentParser) -> None:
@@ -287,18 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="latency of a request hitting a bank's open "
                             "row (default: the full DRAM latency, i.e. "
                             "row buffers never help)")
-        _add_engine_flag(p)
-
-    def _add_engine_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--engine", choices=("columnar", "event"),
-                       default="columnar",
-                       help="warp-step engine: 'columnar' replays "
-                            "precompiled plans once a kernel is warm "
-                            "(default, fastest; a kernel's first "
-                            "single-SM sim runs the event loop), "
-                            "'event' is the per-op interpreter; results, "
-                            "stall attribution, interval metrics, and "
-                            "traces are bit-identical either way")
 
     run = sub.add_parser("run", help="simulate one benchmark", parents=[common])
     _add_design_flags(run)
@@ -326,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help=f"SMs on the chip (default {default_sms}, "
                                 "the paper's)")
-        g.add_argument("--total-bw", type=float, default=None, metavar="B_PER_CYC",
+        g.add_argument("--total-bw", type=_positive_float, default=None,
+                       metavar="B_PER_CYC",
                        help="total chip DRAM bandwidth in bytes/cycle "
                             "(default 256, shared by all SMs)")
         g.add_argument("--channels", type=_positive_int, default=None,
@@ -367,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write a Perfetto-compatible warp trace")
     _add_design_flags(tr, benchmark_optional=True)
     _add_chip_flags(tr)
-    _add_engine_flag(tr)
     tr.add_argument("--out", default=None, metavar="PATH",
                     help="trace file path (default <benchmark>.trace.json)")
     tr.add_argument("--max-events", type=_positive_int, default=1_000_000,
@@ -409,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     at = sub.add_parser("autotune", help="thread-count autotuning",
                         parents=[common])
     at.add_argument("benchmark")
-    at.add_argument("--capacity", type=int, default=384, metavar="KB")
+    at.add_argument("--capacity", type=_positive_int, default=384, metavar="KB")
     at.add_argument("--scale", default="small", choices=("tiny", "small", "paper"))
 
     val = sub.add_parser("validate", help="run the reproduction scorecard",

@@ -56,7 +56,6 @@ from repro.isa.kernel import KernelTrace
 from repro.kernels import get_benchmark
 from repro.sm import SMConfig, SimResult, simulate
 from repro.sm.cta_scheduler import LaunchError
-from repro.sm.simulator import resolved_engine
 from repro.sm.serialize import (
     RESULT_FORMAT_VERSION,
     partition_from_dict,
@@ -137,17 +136,8 @@ def _partition_key(p: MemoryPartition) -> tuple:
 
 
 def config_fingerprint(config: SMConfig) -> tuple:
-    """Stable, hashable, JSON-compatible rendering of an SMConfig.
-
-    ``engine`` is excluded: the columnar and event engines are
-    bit-identical by contract, so the choice must not invalidate
-    cached results or split otherwise-equal sweeps.
-    """
-    return tuple(
-        (f.name, getattr(config, f.name))
-        for f in fields(SMConfig)
-        if f.name != "engine"
-    )
+    """Stable, hashable, JSON-compatible rendering of an SMConfig."""
+    return tuple((f.name, getattr(config, f.name)) for f in fields(SMConfig))
 
 
 def _raise_expected(record: tuple[str, str]) -> None:
@@ -184,10 +174,6 @@ class Runner:
         self._allocs: dict[tuple, UnifiedAllocation] = {}
         self._alloc_errors: dict[tuple, tuple[str, str]] = {}
         self._summaries: dict[tuple, CompiledSummary] = {}
-        #: sim/chip key -> engine that *executed* the live simulation
-        #: ("event" or "columnar", tiered warm-up decisions included).
-        #: Memo and disk-cache hits run nothing, so they record nothing.
-        self._engines: dict[tuple, str] = {}
         self._journal: list[tuple[str, tuple, object]] | None = None
         self._journal_host: Runner = self
 
@@ -209,7 +195,6 @@ class Runner:
         v._allocs = self._allocs
         v._alloc_errors = self._alloc_errors
         v._summaries = self._summaries
-        v._engines = self._engines
         v._journal_host = self._journal_host
         return v
 
@@ -235,7 +220,6 @@ class Runner:
             "alloc": self._allocs,
             "alloc_error": self._alloc_errors,
             "summary": self._summaries,
-            "engine": self._engines,
         }
         for kind, key, value in entries:
             memos[kind].setdefault(tuple(key), value)
@@ -419,10 +403,6 @@ class Runner:
                     _raise_expected(self._sim_errors[key])
         if result is None:
             ck = self.compiled(name, regs, **params)
-            # Ask the dispatch seam *before* running: simulate() marks a
-            # cold kernel warm as a side effect, so asking afterwards
-            # would claim the warm-up run itself replayed columnar.
-            engine = resolved_engine(ck, self.config)
             try:
                 result = simulate(
                     ck,
@@ -441,8 +421,6 @@ class Runner:
                 raise
             if self.cache is not None:
                 self.cache.put_result(self._sim_disk_key(key), result)
-            self._engines[key] = engine
-            self._record("engine", key, engine)
         self._sims[key] = result
         self._record("sim", key, result)
         return result
@@ -502,11 +480,6 @@ class Runner:
                 self.cache.put_meta(
                     self._chip_disk_key(key), chip_result_to_dict(result)
                 )
-            # Chip scope has no tiered warm-up (lowering amortises over
-            # the SMs of one run), so the configured engine is the
-            # resolved one.
-            self._engines[key] = cfg.sm.engine
-            self._record("engine", key, cfg.sm.engine)
         self._chips[key] = result
         self._record("chip", key, result)
         return result
@@ -624,26 +597,6 @@ class Runner:
         """Snapshot of the memoised simulation keys (for run deltas)."""
         return frozenset(self._sims)
 
-    def engine_summary(self) -> dict:
-        """Resolved-engine provenance of this run's live simulations.
-
-        ``resolved`` counts what actually executed -- under
-        ``engine="columnar"`` a kernel's first single-SM simulation
-        still runs the event core (tiered warm-up), so a cold sweep
-        legitimately shows both engines.  ``mixed`` flags exactly that.
-        Recorded in the run manifest; deliberately *not* in the
-        ``--metrics-out`` payload, whose byte-identity across ``--jobs``
-        settings warm-up skew would break.
-        """
-        counts: dict[str, int] = {}
-        for engine in self._engines.values():
-            counts[engine] = counts.get(engine, 0) + 1
-        return {
-            "configured": self.config.engine,
-            "resolved": dict(sorted(counts.items())),
-            "mixed": len(counts) > 1,
-        }
-
     def sim_metrics(self, keys=None) -> dict:
         """Deterministic metrics over the memoised simulations.
 
@@ -683,12 +636,6 @@ class Runner:
                     "regs": key[1],
                     "thread_target": key[3],
                     "config_digest": config_digest,
-                    # The *configured* engine, not the resolved one:
-                    # tiered warm-up resolves differently per worker
-                    # process, and this payload must stay byte-identical
-                    # across --jobs settings.  Truthful resolution lives
-                    # in the manifest (engine_summary).
-                    "engine": self.config.engine,
                     "cycles": r.cycles,
                     "instructions": r.instructions,
                     "ipc": r.ipc,

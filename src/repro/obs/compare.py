@@ -301,11 +301,6 @@ def _align_sims(recs_a: list, recs_b: list) -> tuple[list, list, list, str]:
     return [], list(recs_a), list(recs_b), _ALIGNMENTS[-1]
 
 
-def _engines_of(recs: list) -> list[str]:
-    """Distinct warp-step engines the records claim, sorted."""
-    return sorted({r.get("engine") for r in recs if r.get("engine")})
-
-
 def _diff_run_metrics(a: dict, b: dict) -> dict:
     recs_a = a.get("simulations", [])
     recs_b = b.get("simulations", [])
@@ -351,16 +346,6 @@ def _diff_run_metrics(a: dict, b: dict) -> dict:
             "b": recheck_conservation(b),
         },
     }
-    eng_a, eng_b = _engines_of(recs_a), _engines_of(recs_b)
-    if eng_a or eng_b:
-        # Engines are bit-identical by contract, so a mixed diff should
-        # show zero deltas -- but if it does not, the header must say
-        # which knob differed before anyone chases a phantom regression.
-        sections["engines"] = {
-            "a": eng_a,
-            "b": eng_b,
-            "mixed": eng_a != eng_b or len(eng_a) > 1 or len(eng_b) > 1,
-        }
     if stall_totals_a or stall_totals_b:
         stalls = _stall_delta(stall_totals_a, stall_totals_b)
         sections["stalls"] = stalls
@@ -546,20 +531,6 @@ def _diff_manifests(a: dict, b: dict) -> dict:
             versions[key] = {"a": va, "b": vb}
     wall_a = math.fsum(p.get("wall_seconds", 0.0) for p in a.get("phases", []))
     wall_b = math.fsum(p.get("wall_seconds", 0.0) for p in b.get("phases", []))
-    eng_a, eng_b = a.get("engines"), b.get("engines")
-    engines = None
-    if eng_a or eng_b:
-        resolved_a = (eng_a or {}).get("resolved") or {}
-        resolved_b = (eng_b or {}).get("resolved") or {}
-        engines = {
-            "a": eng_a,
-            "b": eng_b,
-            "mixed": (
-                sorted(resolved_a) != sorted(resolved_b)
-                or (eng_a or {}).get("configured")
-                != (eng_b or {}).get("configured")
-            ),
-        }
     return {
         "same_config": a.get("sm_config_digest") == b.get("sm_config_digest"),
         "config_digest": {
@@ -569,7 +540,6 @@ def _diff_manifests(a: dict, b: dict) -> dict:
         "scale": {"a": a.get("scale"), "b": b.get("scale")},
         "versions_changed": versions,
         "wall_seconds": _pair(wall_a, wall_b),
-        **({"engines": engines} if engines is not None else {}),
     }
 
 
@@ -664,29 +634,6 @@ def format_diff(payload: dict) -> str:
     la = payload["a"]["label"]
     lb = payload["b"]["label"]
     lines = [f"diff ({payload['kind']}): A = {la}  vs  B = {lb}"]
-    engines = payload.get("engines")
-    if isinstance(engines, dict):
-
-        def _engine_label(side) -> str:
-            if isinstance(side, dict):  # manifest engine summary
-                resolved = side.get("resolved") or {}
-                counts = ", ".join(
-                    f"{k} x{v}" for k, v in sorted(resolved.items())
-                )
-                return f"{side.get('configured', '?')}" + (
-                    f" (ran {counts})" if counts else ""
-                )
-            if isinstance(side, list):  # run-metrics engine sets
-                return "+".join(side) if side else "?"
-            return str(side)
-
-        line = (
-            f"engines: A = {_engine_label(engines.get('a'))}  "
-            f"vs  B = {_engine_label(engines.get('b'))}"
-        )
-        if engines.get("mixed"):
-            line += "  [engine-mixed diff]"
-        lines.append(line)
     cycles = payload.get("cycles")
     if cycles is not None:
         speedup = cycles.get("speedup")

@@ -46,7 +46,6 @@ def build_run_manifest(
     experiments: list[dict] | None = None,
     executor=None,
     chip: dict | None = None,
-    engines: dict | None = None,
 ) -> dict:
     """Assemble the provenance record of one CLI run.
 
@@ -63,12 +62,6 @@ def build_run_manifest(
             ``channels`` / ``dispatcher`` dicts of
             :meth:`repro.obs.chip.ChipCollector.report`), recorded when
             an instrumented chip run wrote this manifest.
-        engines: Optional engine-resolution summary
-            (:meth:`repro.experiments.runner.Runner.engine_summary`):
-            the configured warp-step engine, counts of what each live
-            simulation actually executed (tiered warm-up included), and
-            a ``mixed`` flag.  The ``repro compare`` manifest diff
-            surfaces it so engine-mixed comparisons are never silent.
     """
     from repro.experiments.runner import config_fingerprint
 
@@ -90,8 +83,6 @@ def build_run_manifest(
     }
     if chip is not None:
         manifest["chip"] = chip
-    if engines is not None:
-        manifest["engines"] = engines
     if executor is not None:
         manifest["phases"] = [
             {

@@ -60,17 +60,6 @@ class SMConfig:
     #: the full ``dram_latency`` (row buffers modeled but never faster,
     #: i.e. disabled).
     dram_row_hit_latency: int | None = None
-    #: Simulation engine: ``"columnar"`` (default) replays precompiled
-    #: columnar warp programs (:mod:`repro.sm.replay`) once a kernel is
-    #: warm; ``"event"`` always runs the per-op event loop.  The two are
-    #: bit-identical -- every SimResult field matches exactly, and so
-    #: does every observability payload (differential tests pin both)
-    #: -- so the flag never changes simulated numbers, only wall-clock.
-    #: ``docs/architecture.md`` states which loop each simulation takes
-    #: (a kernel's first single-SM sim runs the event loop either way).
-    #: Being timing-neutral, the field is excluded from experiment/chip
-    #: config fingerprints and serialized payloads.
-    engine: str = "columnar"
 
     @property
     def non_blocking(self) -> bool:
@@ -139,8 +128,4 @@ class SMConfig:
         ):
             raise ValueError(
                 "dram_row_hit_latency must lie within [0, dram_latency]"
-            )
-        if self.engine not in ("event", "columnar"):
-            raise ValueError(
-                f"engine must be 'event' or 'columnar', got {self.engine!r}"
             )

@@ -1,13 +1,17 @@
-"""One SM core and the event-driven warp loop over any number of them.
+"""One SM core, and the per-op reference loop over any number of them.
 
 :class:`SMCore` is the state of one SM: its CTA scheduler, bank model,
 cache, MSHR file, DRAM port, observability sink, issue and memory
 pipeline clocks, and run counters.  :func:`repro.sm.simulate` builds one
 core behind a private channel with the whole grid; the chip simulator
 (:mod:`repro.chip`) builds N behind a shared dispatcher and DRAM
-system.  Both run the same two loops over their cores:
-:func:`run_event` here and :func:`repro.sm.replay.run_columnar`, and
-both close each core with :meth:`SMCore.result`.
+system.  Both run their cores on :func:`repro.sm.replay.run_columnar`
+and close each core with :meth:`SMCore.result`.
+
+:func:`run_event` is the reference that loop is held to.  No production
+code calls it: the equivalence, golden-fixture and observability tests
+swap it in for :func:`~repro.sm.replay.run_columnar`, whose signature
+it shares, and require bit-identical results and payloads.
 
 :func:`run_event` pops the earliest-ready warp from one global heap,
 serialises it on its core's issue port, resolves its instruction

@@ -1,18 +1,19 @@
-"""Columnar replay engine: the ``engine="columnar"`` simulation loop.
+"""Columnar replay: the simulation loop.
 
-The event loop (:func:`repro.sm.core.run_event`) visits one op per heap
-pop, re-deriving dispatch, bank outcomes, dependences, and a dozen
-counters from Python object graphs each time; this loop *replays* the
-columnar warp programs built by :mod:`repro.compiler.columnar`.  Each
-dynamic instruction costs one fused-row unpack, a few float adds, and
-(for memory ops) the cache/DRAM/MSHR calls that are the model itself.
+The reference event loop (:func:`repro.sm.core.run_event`) visits one
+op per heap pop, re-deriving dispatch, bank outcomes, dependences, and
+a dozen counters from Python object graphs each time; this loop
+*replays* the columnar warp programs built by
+:mod:`repro.compiler.columnar`.  Each dynamic instruction costs one
+fused-row unpack, a few float adds, and (for memory ops) the
+cache/DRAM/MSHR calls that are the model itself.
 Counters never appear in the hot loop -- they were summed per warp at
 compile time and are added once at CTA spawn.  Warps also execute in
 **run batches**: a popped warp keeps stepping inline while its next
 ready time stays strictly below the earliest other heap entry, so
 dependence-limited phases skip heap traffic entirely.
 
-Bit-identity with the event engine follows from three facts:
+Bit-identity with the reference loop follows from three facts:
 
 * **Batching is a no-op.** After the event engine processes an op at
   time ``t`` it pushes the warp back keyed ``nr`` with a sequence
@@ -49,7 +50,7 @@ interval metrics, and trace payloads are byte-identical per cause --
 the observability side of the bit-identity contract, enforced by
 ``tests/obs/test_replay_observability.py``.  One core with nothing
 observing it runs :func:`_run_inlined`, the runner's body inlined into
-the loop's own frame; ``docs/architecture.md`` states which loop each
+the loop's own frame; ``docs/architecture.md`` states which frame each
 simulation takes.
 """
 

@@ -2,11 +2,11 @@
 
 See the package docstring (:mod:`repro.sm`) for the modelling contract.
 :func:`simulate` is the one-core case of the chip simulator: it builds
-one :class:`~repro.sm.core.SMCore` and runs it on the same loops
-:func:`repro.chip.simulate_chip` runs N cores on -- the per-op event
-loop (:func:`repro.sm.core.run_event`) or the columnar replay loop
-(:func:`repro.sm.replay.run_columnar`).  ``docs/architecture.md``
-states which loop each simulation takes.
+one :class:`~repro.sm.core.SMCore` and runs it on the columnar replay
+loop (:func:`repro.sm.replay.run_columnar`), the loop
+:func:`repro.chip.simulate_chip` runs N cores on.
+``docs/architecture.md`` states which frame of that loop each
+simulation takes.
 """
 
 from __future__ import annotations
@@ -15,27 +15,10 @@ from repro.compiler.compiled import CompiledKernel
 from repro.core.partition import MemoryPartition
 from repro.sm import replay
 from repro.sm.config import SMConfig
-from repro.sm.core import SimulationError, SMCore, run_event
+from repro.sm.core import SimulationError, SMCore
 from repro.sm.result import SimResult
 
-__all__ = ["SimulationError", "resolved_engine", "simulate"]
-
-
-def resolved_engine(kernel: CompiledKernel, config: SMConfig | None) -> str:
-    """Engine the *next* ``simulate`` of ``kernel`` would actually run.
-
-    The dispatch in :func:`simulate` is tiered: even under
-    ``engine == "columnar"`` a kernel's first simulation runs the event
-    loop (and warms the plan cache), so the configured engine and the
-    executed one can differ.  Callers that record provenance (run
-    manifests, ``Runner.sim_metrics``) ask here instead of duplicating
-    the warm-key rule.
-    """
-    cfg = config or SMConfig()
-    if cfg.engine != "columnar":
-        return "event"
-    warm_key = ("colwarm", cfg.cache_line_bytes)
-    return "columnar" if warm_key in kernel._plan_cache else "event"
+__all__ = ["SimulationError", "simulate"]
 
 
 def simulate(
@@ -72,22 +55,9 @@ def simulate(
     """
     cfg = config or SMConfig()
     obs = collector if collector is not None and collector.enabled else None
-    engine = resolved_engine(kernel, cfg)
-    if cfg.engine == "columnar":
-        # Tiered warm-up: lowering a kernel (signatures + programs)
-        # costs about as much as one event-loop run, so it only pays
-        # off from a kernel's second simulation on.  The first sight of
-        # a kernel runs the event loop and marks it; sweeps (capacity,
-        # thread-target, ablation grids) replay columnar from then on,
-        # instrumented or not, while one-shot simulations never pay an
-        # unamortised compile.
-        kernel._plan_cache[("colwarm", cfg.cache_line_bytes)] = True
     dram = cfg.make_dram_channel(
         observer=obs.dram_transfer if obs is not None else None
     )
     core = SMCore(0, kernel, partition, cfg, thread_target, dram, obs)
-    if engine == "columnar":
-        replay.run_columnar(kernel, cfg, [core])
-    else:
-        run_event(kernel, cfg, [core])
+    replay.run_columnar(kernel, cfg, [core])
     return core.result(core.end_cycle())

@@ -120,7 +120,7 @@ class TestJournal:
         src.journal_reset()
         ref = src.baseline("vectoradd")
         entries = src.journal_reset()
-        assert {kind for kind, _, _ in entries} == {"sim", "summary", "engine"}
+        assert {kind for kind, _, _ in entries} == {"sim", "summary"}
 
         dst = Runner("tiny")
         dst.adopt(entries)

@@ -8,20 +8,22 @@ is the cycle-identity contract performance work on the hot loop is held
 to (docs/performance.md); regenerate via tests/golden/generate.py only
 for deliberate model changes.
 
-``test_golden_result_exact`` runs each case the way a default run does
-(the tiered warm-up picks the engine); ``test_golden_result_on_engine``
-pins every case on both engines: the per-op event loop, and the
-columnar replay loop's single-core inlined frame.
+``test_golden_result_exact`` runs each case the way a default run does;
+``test_golden_result_on_engine`` pins every case on both loops, each
+with its own runner: the per-op reference loop (swapped in by
+:func:`tests.util.reference_loop`), and the columnar replay loop's
+single-core inlined frame.
 """
 
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import Runner
-from repro.sm.config import SMConfig
 from repro.sm.serialize import result_from_dict, result_to_dict
+from tests.util import reference_loop
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 CASES = sorted(p.name for p in GOLDEN_DIR.glob("*__*.json"))
@@ -35,10 +37,9 @@ def rn():
 
 @pytest.fixture(scope="module")
 def engine_runners():
-    # One runner per engine: sim memo keys leave the (timing-neutral)
-    # engine out, so a shared memo would hand one engine's result to
-    # the other.
-    return {engine: Runner("tiny", SMConfig(engine=engine)) for engine in ENGINES}
+    # One runner per loop: sim memo keys cannot tell the loops apart,
+    # so a shared memo would hand one loop's result to the other.
+    return {engine: Runner("tiny") for engine in ENGINES}
 
 
 def test_fixture_set_is_complete():
@@ -73,10 +74,5 @@ def test_golden_result_exact(case, rn):
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_golden_result_on_engine(engine, case, engine_runners):
-    rn = engine_runners[engine]
-    if engine == "columnar":
-        # Defeat the tiered warm-up (a kernel's first sim runs the event
-        # loop) so every case reaches the replay loop.
-        ck = rn.compiled(case.split("__")[0])
-        ck._plan_cache[("colwarm", rn.config.cache_line_bytes)] = True
-    _check_case(rn, case)
+    with reference_loop() if engine == "event" else nullcontext():
+        _check_case(engine_runners[engine], case)

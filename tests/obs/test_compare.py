@@ -155,53 +155,6 @@ class TestRunMetricsDiff:
         assert len(sims["only_b"]) == 1
 
 
-class TestEngineProvenance:
-    def test_same_engine_not_flagged(self, metrics_payloads):
-        m = metrics_payloads[0]
-        d = build_diff(m, m)
-        assert d["engines"] == {
-            "a": ["columnar"], "b": ["columnar"], "mixed": False,
-        }
-        assert "engine-mixed" not in format_diff(d)
-
-    def test_mixed_engines_flagged_in_header(self, metrics_payloads):
-        event_rn = Runner("tiny", SMConfig(engine="event"))
-        for name in BENCH:
-            event_rn.baseline(name)
-        d = build_diff(metrics_payloads[0], event_rn.sim_metrics(),
-                       label_a="columnar-run", label_b="event-run")
-        assert d["engines"]["mixed"] is True
-        header = format_diff(d).splitlines()[1]
-        assert "engines: A = columnar  vs  B = event" in header
-        assert "[engine-mixed diff]" in header
-        # Engines are bit-identical by contract, so the flagged diff
-        # still shows zero cycle delta.
-        assert d["cycles"]["delta"] == 0.0
-        assert not validate_diff(d)
-
-    def test_manifest_diff_surfaces_resolution(self):
-        from repro.obs.manifest import build_run_manifest
-
-        rn = Runner("tiny")
-        for name in BENCH:
-            rn.baseline(name)
-        mixed = build_run_manifest(
-            "repro x", "tiny", rn.config, engines=rn.engine_summary()
-        )
-        pure = build_run_manifest(
-            "repro y", "tiny", rn.config,
-            engines={"configured": "event",
-                     "resolved": {"event": 2}, "mixed": False},
-        )
-        d = build_diff(mixed, pure)
-        assert d["engines"]["mixed"] is True
-        text = format_diff(d)
-        assert "engine-mixed diff" in text
-        assert "ran" in text  # resolved counts rendered in the header
-        same = build_diff(mixed, mixed)
-        assert same["engines"]["mixed"] is False
-
-
 class TestKindDetection:
     def test_known_kinds(self, profile_payload, metrics_payloads):
         assert payload_kind(profile_payload) == "profile"

@@ -1,10 +1,10 @@
-"""Replay-path observability: the columnar engine's instrumented contract.
+"""Replay-path observability: the columnar loop's instrumented contract.
 
-PR 8's replayer earned its speed by being bit-identical to the event
-engine *uninstrumented*; this sweep pins the instrumented half of the
-contract.  With a :class:`~repro.obs.Collector` (or
+The replayer earned its speed by being bit-identical to the per-op
+reference loop *uninstrumented*; this sweep pins the instrumented half
+of the contract.  With a :class:`~repro.obs.Collector` (or
 :class:`~repro.obs.ChipCollector`) attached, the replay loop must
-reproduce the event engine's observability byte for byte: the same
+reproduce the reference loop's observability byte for byte: the same
 per-cause stall attribution, the same interval samples, the same trace
 events -- and observability must stay neutral (collectors on/off change
 no simulated number).  The conservation invariant
@@ -22,7 +22,8 @@ from repro.chip.simulator import simulate_chip
 from repro.core import partitioned_baseline
 from repro.experiments.runner import Runner
 from repro.obs import ChipCollector, Collector
-from repro.sm.simulator import resolved_engine, simulate
+from repro.sm.simulator import simulate
+from tests.util import reference_loop
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 PARTITIONS = ("baseline", "unified384")
@@ -54,12 +55,6 @@ def _config(runner, mshr):
     return replace(cfg, mshr_entries=0)
 
 
-def _warm(ck, cfg):
-    # Defeat the tiered warm-up: every case below must exercise the
-    # real replayer, not the event-engine warm-up pass.
-    ck._plan_cache[("colwarm", cfg.cache_line_bytes)] = True
-
-
 def _dumps(payload):
     return json.dumps(payload, sort_keys=True)
 
@@ -72,15 +67,13 @@ def test_instrumented_engines_identical(runner, kernel, part_name, mshr):
     ck = runner.compiled(kernel)
     part = _partition(runner, kernel, part_name)
     cfg = _config(runner, mshr)
-    _warm(ck, cfg)
     obs_e = Collector(metrics_window=500, trace=True, max_trace_events=200_000)
     obs_c = Collector(metrics_window=500, trace=True, max_trace_events=200_000)
-    event = simulate(ck, part, replace(cfg, engine="event"), collector=obs_e)
-    columnar = simulate(
-        ck, part, replace(cfg, engine="columnar"), collector=obs_c
-    )
+    with reference_loop():
+        event = simulate(ck, part, cfg, collector=obs_e)
+    columnar = simulate(ck, part, cfg, collector=obs_c)
     assert columnar == event
-    # Per cause, not just totals: every cause the event engine charged,
+    # Per cause, not just totals: every cause the reference loop charged,
     # the replayer must charge identically (and vice versa).
     assert obs_c.stall_totals() == obs_e.stall_totals()
     assert obs_c.issue_cycles == obs_e.issue_cycles
@@ -101,23 +94,19 @@ def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
     """Shared arbitrated DRAM, 4 SMs, DRAM-window and CTA taps live."""
     ck = runner.compiled(kernel)
     part = partitioned_baseline()
-    cfg = _config(runner, mshr)
-    _warm(ck, cfg)
     nch = 4 if part_dram else 2
-    chip_e = ChipConfig(
+    chip = ChipConfig(
         num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2,
-        dram_partitioned=part_dram, sm=replace(cfg, engine="event"),
+        dram_partitioned=part_dram, sm=_config(runner, mshr),
     )
-    chip_c = replace(chip_e, sm=replace(cfg, engine="columnar"))
     mk = lambda: ChipCollector(  # noqa: E731
         4, nch, metrics_window=500, trace=True, max_trace_events=500_000,
         dram_partitioned=part_dram,
     )
     obs_e, obs_c = mk(), mk()
-    event = simulate_chip(ck, part, chip_e, chip_collector=obs_e)
-    columnar = simulate_chip(ck, part, chip_c, chip_collector=obs_c)
-    # ChipResult.config embeds the (engine-carrying) ChipConfig; compare
-    # the simulated fields, which must not see the engine at all.
+    with reference_loop():
+        event = simulate_chip(ck, part, chip, chip_collector=obs_e)
+    columnar = simulate_chip(ck, part, chip, chip_collector=obs_c)
     assert columnar.cycles == event.cycles
     assert columnar.per_sm == event.per_sm
     assert columnar.ctas_per_sm == event.ctas_per_sm
@@ -133,14 +122,13 @@ def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
     assert _dumps(obs_c.trace_payload()) == _dumps(obs_e.trace_payload())
 
 
-# -- neutrality: collectors on/off under engine="columnar" ----------------
+# -- neutrality: collectors on/off on the replay loop ---------------------
 @pytest.mark.parametrize("mshr", MSHRS)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_columnar_observability_is_neutral(runner, kernel, mshr):
     ck = runner.compiled(kernel)
     part = partitioned_baseline()
-    cfg = replace(_config(runner, mshr), engine="columnar")
-    _warm(ck, cfg)
+    cfg = _config(runner, mshr)
     bare = simulate(ck, part, cfg)
     col = Collector(metrics_window=500, trace=True)
     instrumented = simulate(ck, part, cfg, collector=col)
@@ -155,8 +143,7 @@ def test_columnar_observability_is_neutral(runner, kernel, mshr):
 def test_columnar_chip_observability_is_neutral(runner, mshr):
     ck = runner.compiled("needle")
     part = partitioned_baseline()
-    cfg = replace(_config(runner, mshr), engine="columnar")
-    _warm(ck, cfg)
+    cfg = _config(runner, mshr)
     chip = ChipConfig(
         num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2, sm=cfg
     )
@@ -176,8 +163,8 @@ def test_columnar_chip_observability_is_neutral(runner, mshr):
 
 
 # -- the replay path is really taken (no silent fallback) -----------------
-def test_instrumented_run_uses_replay_path(runner, monkeypatch):
-    """A warm kernel + live collector must dispatch to the replayer."""
+def test_instrumented_run_uses_replay_path(monkeypatch):
+    """A kernel's first simulation, plain or instrumented, replays."""
     import repro.sm.replay as replay_mod
 
     calls = []
@@ -188,43 +175,14 @@ def test_instrumented_run_uses_replay_path(runner, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(replay_mod, "run_columnar", spy)
-    ck = runner.compiled("vectoradd")
-    cfg = replace(runner.config, engine="columnar")
-    _warm(ck, cfg)
-    assert resolved_engine(ck, cfg) == "columnar"
-    col = Collector(metrics_window=500, trace=True)
-    simulate(ck, partitioned_baseline(), cfg, collector=col)
-    assert calls, "instrumented columnar run fell back to the event engine"
-    assert col.warps and col.conservation_errors() == []
-
-
-# -- engine provenance (Runner records the resolved engine) ---------------
-def test_runner_records_resolved_engines():
-    rn = Runner("tiny")
+    # A fresh runner compiles kernels no other test has simulated.
+    fresh = Runner("tiny")
     part = partitioned_baseline()
-    rn.simulate("vectoradd", part)  # cold: event warm-up
-    rn.simulate("vectoradd", part, thread_target=512)  # warm: columnar
-    summary = rn.engine_summary()
-    assert summary["configured"] == "columnar"
-    assert summary["resolved"] == {"columnar": 1, "event": 1}
-    assert summary["mixed"] is True
-
-
-def test_engine_records_ship_through_journal():
-    """Worker-recorded engine entries reach the parent via adopt()."""
-    rn = Runner("tiny")
-    rn.journal_reset()
-    rn.simulate("vectoradd", partitioned_baseline())
-    entries = rn.journal_reset()
-    kinds = {kind for kind, _, _ in entries}
-    assert "engine" in kinds
-    parent = Runner("tiny")
-    parent.adopt(entries)
-    assert parent.engine_summary()["resolved"] == {"event": 1}
-
-
-def test_sim_metrics_records_configured_engine():
-    rn = Runner("tiny")
-    rn.simulate("vectoradd", partitioned_baseline())
-    payload = rn.sim_metrics()
-    assert [r["engine"] for r in payload["simulations"]] == ["columnar"]
+    simulate(fresh.compiled("vectoradd"), part, fresh.config)
+    assert calls == [1], "a kernel's first plain run skipped the replay loop"
+    col = Collector(metrics_window=500, trace=True)
+    simulate(fresh.compiled("needle"), part, fresh.config, collector=col)
+    assert calls == [1, 1], (
+        "a kernel's first instrumented run skipped the replay loop"
+    )
+    assert col.warps and col.conservation_errors() == []

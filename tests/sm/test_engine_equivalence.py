@@ -1,11 +1,12 @@
-"""Event vs columnar engine equivalence (the replay engine's contract).
+"""Event vs columnar loop equivalence (the replay loop's contract).
 
 The columnar replayer (:mod:`repro.sm.replay`) exists purely for speed:
 for every kernel, partition, and memory-system configuration it must
 produce a :class:`~repro.sm.result.SimResult` *equal* to the per-op
-event engine's -- same cycles, same counters, same energy, same notes.
-This sweep is the enforcement: kernels x partitions x MSHR settings,
-single-SM and chip scope, compared field for field.
+reference loop's (:func:`repro.sm.core.run_event`) -- same cycles, same
+counters, same energy, same notes.  This sweep is the enforcement:
+kernels x partitions x MSHR settings, single-SM and chip scope,
+compared field for field.
 """
 
 from dataclasses import replace
@@ -17,6 +18,7 @@ from repro.chip.simulator import simulate_chip
 from repro.core import partitioned_baseline
 from repro.experiments.runner import Runner
 from repro.sm.simulator import simulate
+from tests.util import reference_loop
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 PARTITIONS = ("baseline", "unified384")
@@ -55,12 +57,9 @@ def test_engines_bit_identical(runner, kernel, part_name, mshr):
     ck = runner.compiled(kernel)
     part = _partition(runner, kernel, part_name)
     cfg = _config(runner, mshr)
-    # Defeat the tiered warm-up (first uninstrumented sim of a kernel
-    # runs the event core): every case here must compare the real
-    # replayer, not the warm-up pass.
-    ck._plan_cache[("colwarm", cfg.cache_line_bytes)] = True
-    event = simulate(ck, part, replace(cfg, engine="event"))
-    columnar = simulate(ck, part, replace(cfg, engine="columnar"))
+    with reference_loop():
+        event = simulate(ck, part, cfg)
+    columnar = simulate(ck, part, cfg)
     # Whole-dataclass equality covers cycles, instruction and conflict
     # counts, the conflict histogram, cache/DRAM stats, energy, and
     # notes in one shot; compare fields first for readable failures.
@@ -73,17 +72,16 @@ def test_engines_bit_identical(runner, kernel, part_name, mshr):
 @pytest.mark.parametrize("mshr", MSHRS)
 @pytest.mark.parametrize("kernel", ("vectoradd", "needle"))
 def test_engines_bit_identical_at_chip_scope(runner, kernel, mshr):
-    """Chip scope: shared arbitrated DRAM, 4 SMs, both engines."""
+    """Chip scope: shared arbitrated DRAM, 4 SMs, both loops."""
     ck = runner.compiled(kernel)
     part = partitioned_baseline()
-    cfg = _config(runner, mshr)
-    chip_e = ChipConfig(
+    chip = ChipConfig(
         num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2,
-        sm=replace(cfg, engine="event"),
+        sm=_config(runner, mshr),
     )
-    chip_c = replace(chip_e, sm=replace(cfg, engine="columnar"))
-    event = simulate_chip(ck, part, chip_e)
-    columnar = simulate_chip(ck, part, chip_c)
+    with reference_loop():
+        event = simulate_chip(ck, part, chip)
+    columnar = simulate_chip(ck, part, chip)
     assert columnar.cycles == event.cycles
     assert columnar.per_sm == event.per_sm
     assert columnar.ctas_per_sm == event.ctas_per_sm

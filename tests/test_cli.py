@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro.cli import main
+from tests.util import reference_loop
 
 
 class TestList:
@@ -41,6 +43,37 @@ class TestRun:
     def test_unknown_benchmark_errors(self):
         with pytest.raises(KeyError):
             main(["run", "nosuch", "--scale", "tiny"])
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        (
+            (["run", "--dram-row-hit-latency", "500"], "dram_row_hit_latency"),
+            (["profile", "--dram-row-hit-latency", "500"],
+             "dram_row_hit_latency"),
+            (["chip", "--dram-row-hit-latency", "500"], "dram_row_hit_latency"),
+            (["chip", "--sms", "2", "--total-bw", "0"], "--total-bw"),
+            (["chip", "--sms", "2", "--total-bw", "-5"], "--total-bw"),
+            (["run", "--regs", "0"], "--regs"),
+            (["run", "--capacity", "0"], "--capacity"),
+            (["run", "--threads", "0"], "--threads"),
+            (["autotune", "--capacity", "0"], "--capacity"),
+        ),
+        ids=(
+            "run-row-hit-latency", "profile-row-hit-latency",
+            "chip-row-hit-latency", "chip-total-bw-zero",
+            "chip-total-bw-negative", "run-regs", "run-capacity",
+            "run-threads", "autotune-capacity",
+        ),
+    )
+    def test_rejected_flag_value_is_usage_error(self, capsys, argv, expected):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, "vectoradd", "--scale", "tiny", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error:" in err
+        assert expected in err
+        assert "Traceback" not in err
 
 
 class TestChip:
@@ -223,7 +256,7 @@ class TestProfileAndTrace:
     def test_no_engine_fallback_note(self, capsys, tmp_path, command):
         """Instrumented columnar runs replay; no fallback note remains."""
         argv = [command, "vectoradd", "--scale", "tiny",
-                "--design", "baseline", "--engine", "columnar", "-v"]
+                "--design", "baseline", "-v"]
         if command == "trace":
             argv += ["--out", str(tmp_path / "t.json")]
         assert main(argv) == 0
@@ -237,12 +270,13 @@ class TestProfileAndTrace:
         for engine in ("columnar", "event"):
             metrics = tmp_path / f"m-{engine}.json"
             profile = tmp_path / f"p-{engine}.json"
-            assert main(
-                ["profile", "matrixmul", "--scale", "tiny",
-                 "--design", "baseline", "--engine", engine,
-                 "--window", "500", "--metrics-out", str(metrics),
-                 "--profile-out", str(profile), "-q"]
-            ) == 0
+            with reference_loop() if engine == "event" else nullcontext():
+                assert main(
+                    ["profile", "matrixmul", "--scale", "tiny",
+                     "--design", "baseline",
+                     "--window", "500", "--metrics-out", str(metrics),
+                     "--profile-out", str(profile), "-q"]
+                ) == 0
             capsys.readouterr()
             payloads[engine] = (metrics.read_bytes(), profile.read_bytes())
         assert payloads["columnar"] == payloads["event"]
@@ -307,11 +341,12 @@ class TestChipScopeProfileAndTrace:
         payloads = {}
         for engine in ("columnar", "event"):
             metrics = tmp_path / f"cm-{engine}.json"
-            assert main(
-                ["profile", "needle", "--scale", "tiny", "--design", "baseline",
-                 "--sms", "2", "--window", "500", "--engine", engine,
-                 "--metrics-out", str(metrics), "-q"]
-            ) == 0
+            with reference_loop() if engine == "event" else nullcontext():
+                assert main(
+                    ["profile", "needle", "--scale", "tiny",
+                     "--design", "baseline", "--sms", "2", "--window", "500",
+                     "--metrics-out", str(metrics), "-q"]
+                ) == 0
             capsys.readouterr()
             payloads[engine] = metrics.read_bytes()
         assert payloads["columnar"] == payloads["event"]

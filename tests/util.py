@@ -1,9 +1,25 @@
-"""Shared helpers for building small kernels in tests."""
+"""Shared test helpers: small kernels, and the reference-loop swap."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 from repro.compiler import compile_kernel
 from repro.isa import CTATrace, KernelTrace, LaunchConfig, WarpBuilder
+from repro.sm import replay
+from repro.sm.core import run_event
+
+
+def reference_loop():
+    """Context manager running every simulation inside it on ``run_event``.
+
+    ``simulate()`` and ``simulate_chip()`` look the columnar replay loop
+    up through :mod:`repro.sm.replay`, so swapping in the per-op
+    reference loop (same signature) there reroutes both, instrumented
+    or not.  Tests compare the two loops' results and payloads for
+    bit-identity this way; nothing in the package selects the reference.
+    """
+    return mock.patch.object(replay, "run_columnar", run_event)
 
 
 def warp_alu_chain(n: int):
