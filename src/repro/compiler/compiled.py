@@ -14,15 +14,21 @@ energy model need:
   hierarchy hit counts (energy only; the small structures are
   conflict-free per [9]);
 * ``addrs`` -- per-thread byte addresses for memory ops.
+
+A :class:`CompiledWarp` builds its records only when they are first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.isa.kernel import LaunchConfig
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import TraceStats
+from repro.isa.trace import TraceStats, WarpOp
+
+if TYPE_CHECKING:
+    from repro.compiler.pipeline import _ShapeCompilation
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,16 +88,40 @@ class RFTrafficCounts:
 
 @dataclass(slots=True)
 class CompiledWarp:
-    """Compiled instruction stream of one warp."""
+    """Compiled instruction stream of one warp.
 
-    ops: list[CompiledOp]
-    regs_used: int
-    spill_slots: int
-    rf_traffic: RFTrafficCounts
+    The warp is its register shape's compilation (``shape``, shared and
+    never mutated), its own trace ops (addresses and active lanes) and
+    the base of its spill region.  Op count, registers, spill slots and
+    RF traffic are shape facts; :attr:`ops` is built on first read.
+    """
+
+    shape: _ShapeCompilation
+    trace_ops: list[WarpOp]
+    local_base: int
+    _ops: list[CompiledOp] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def ops(self) -> list[CompiledOp]:
+        if self._ops is None:
+            self._ops = self.shape.materialise(self.trace_ops, self.local_base)
+        return self._ops
 
     @property
     def num_ops(self) -> int:
-        return len(self.ops)
+        return len(self.shape.entries)
+
+    @property
+    def regs_used(self) -> int:
+        return self.shape.regs_used
+
+    @property
+    def spill_slots(self) -> int:
+        return self.shape.num_slots
+
+    @property
+    def rf_traffic(self) -> RFTrafficCounts:
+        return self.shape.rf_traffic
 
 
 @dataclass(slots=True)

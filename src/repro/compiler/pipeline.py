@@ -1,9 +1,10 @@
 """Compilation pipeline: trace -> spill schedule -> hierarchy tags -> CompiledKernel.
 
 Warps of data-parallel kernels usually share one register *shape* (same
-ops and registers, different addresses), so the expensive passes run once
-per distinct shape and their results are cached and re-materialised per
-warp with that warp's addresses and spill-slot locations.
+ops and registers, different addresses), so liveness and the expensive
+passes run once per distinct shape.  A compiled warp is its shape's
+shared compilation plus the warp's own trace ops and spill base; its
+per-op records are built only when something reads them.
 
 Spilled values are addressed in an interleaved thread-local layout,
 matching how real GPUs lay out local memory so that a warp's accesses to
@@ -14,6 +15,7 @@ the same spill slot coalesce into a single 128-byte line:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.compiler.compiled import (
@@ -26,7 +28,7 @@ from repro.compiler.compiled import (
 from repro.compiler.bankassign import assign_banks, remap_shape
 from repro.compiler.liveness import max_live_registers
 from repro.compiler.regalloc import Fill, ShapeOp, Spill, schedule_registers
-from repro.compiler.rfhierarchy import OperandTags, tag_hierarchy
+from repro.compiler.rfhierarchy import ORF_ENTRIES, OperandTags, tag_hierarchy
 from repro.isa.kernel import KernelTrace
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import WARP_SIZE, WarpOp
@@ -39,117 +41,138 @@ LOCAL_BASE = 1 << 40
 SLOT_BYTES = 4 * WARP_SIZE
 
 
+def register_shape(ops: Sequence[WarpOp]) -> tuple[ShapeOp, ...]:
+    """A warp's register shape: its ``(op class, dst, srcs)`` sequence.
+
+    Addresses and active lanes are left out.  Liveness, register
+    allocation, hierarchy tagging and bank relabelling read nothing
+    else, so warps with one shape share all of their results.
+    """
+    return tuple((op.op, op.dst, op.srcs) for op in ops)
+
+
+def shape_groups(trace: KernelTrace) -> tuple[list[int], dict[tuple, list[WarpOp]]]:
+    """Group a trace's warps by register shape.
+
+    Warps get shape numbers rather than keys, so that only one key per
+    distinct shape stays alive.
+
+    Returns:
+        Each warp's shape number, in launch order (CTA-major), and the
+        distinct shapes in number order, each with the first warp that
+        has it.
+    """
+    numbers: dict[tuple, int] = {}
+    first: dict[tuple, list[WarpOp]] = {}
+    ids: list[int] = []
+    for cta in trace.ctas:
+        for w in cta.warps:
+            key = register_shape(w)
+            if key not in numbers:
+                numbers[key] = len(numbers)
+                first[key] = w
+            ids.append(numbers[key])
+    return ids, first
+
+
 @dataclass(slots=True)
 class _ShapeCompilation:
-    """Cached result of compiling one register shape."""
+    """Result of compiling one register shape.
+
+    Every warp with the shape holds this object, so nothing may mutate
+    it once built.
+    """
 
     entries: list  # schedule entries (Fill / Spill / Rewrite)
     tags: list[OperandTags]
     arch_shape: list[ShapeOp]
     num_slots: int
     regs_used: int
-    max_live: int
+    rf_traffic: RFTrafficCounts
 
+    def materialise(self, ops: list[WarpOp], local_base: int) -> list[CompiledOp]:
+        """The per-op records of one warp with this shape.
 
-class _ShapeCache:
-    def __init__(self, num_regs: int, orf_entries: int) -> None:
-        self.num_regs = num_regs
-        self.orf_entries = orf_entries
-        self._cache: dict[tuple, _ShapeCompilation] = {}
-
-    def compile(self, ops: list[WarpOp]) -> _ShapeCompilation:
-        key = tuple((op.op, op.dst, op.srcs) for op in ops)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        shape: list[ShapeOp] = [(op.op, op.dst, op.srcs) for op in ops]
-        peak = max_live_registers(ops)
-        schedule = schedule_registers(shape, self.num_regs)
-        arch_shape: list[ShapeOp] = []
-        for entry in schedule.entries:
-            if isinstance(entry, Fill):
-                arch_shape.append((OpClass.LOAD_LOCAL, entry.reg, ()))
-            elif isinstance(entry, Spill):
-                arch_shape.append((OpClass.STORE_LOCAL, None, (entry.reg,)))
+        Args:
+            ops: The warp's own trace ops, for addresses and active lanes.
+            local_base: Start of the warp's spill region.
+        """
+        compiled: list[CompiledOp] = []
+        for entry, (op_class, dst, srcs), tag in zip(self.entries, self.arch_shape, self.tags):
+            if isinstance(entry, (Fill, Spill)):
+                active = ops[entry.at].active
+                base = local_base + entry.slot * SLOT_BYTES
+                addrs = tuple(base + 4 * lane for lane in range(active))
             else:
-                arch_shape.append((shape[entry.index][0], entry.dst, entry.srcs))
-        tags = tag_hierarchy(arch_shape, orf_entries=self.orf_entries)
-        # Bank-aware relabelling (the compiler technique of ref [27] the
-        # paper relies on for its "bank conflicts are rare" baseline).
-        mapping = assign_banks(arch_shape, tags, self.num_regs)
-        arch_shape, tags = remap_shape(arch_shape, tags, mapping)
-        result = _ShapeCompilation(
-            entries=schedule.entries,
-            tags=tags,
-            arch_shape=arch_shape,
-            num_slots=schedule.num_slots,
-            regs_used=schedule.regs_used,
-            max_live=peak,
-        )
-        self._cache[key] = result
-        return result
-
-
-def _materialise(
-    ops: list[WarpOp],
-    comp: _ShapeCompilation,
-    warp_uid: int,
-    warp_stride: int,
-) -> CompiledWarp:
-    """Instantiate a cached shape compilation for one concrete warp."""
-    local_base = LOCAL_BASE + warp_uid * warp_stride
-    compiled: list[CompiledOp] = []
-    traffic = RFTrafficCounts()
-    for entry, (op_class, dst, srcs), tag in zip(comp.entries, comp.arch_shape, comp.tags):
-        if isinstance(entry, (Fill, Spill)):
-            src_op = ops[entry.at]
-            active = src_op.active
-            base = local_base + entry.slot * SLOT_BYTES
-            addrs = tuple(base + 4 * lane for lane in range(active))
-        else:
-            src_op = ops[entry.index]
-            active = src_op.active
-            addrs = src_op.addrs
-        mrf_writes = (dst,) if (tag.mrf_write and dst is not None) else ()
-        compiled.append(
-            CompiledOp(
-                op=op_class,
-                dst=dst,
-                srcs=srcs,
-                mrf_reads=tag.mrf_reads,
-                mrf_writes=mrf_writes,
-                lrf_reads=tag.lrf_reads,
-                orf_reads=tag.orf_reads,
-                lrf_writes=1 if tag.lrf_write else 0,
-                orf_writes=1 if tag.orf_write else 0,
-                addrs=addrs,
-                active=active,
+                src_op = ops[entry.index]
+                active = src_op.active
+                addrs = src_op.addrs
+            compiled.append(
+                CompiledOp(
+                    op=op_class,
+                    dst=dst,
+                    srcs=srcs,
+                    mrf_reads=tag.mrf_reads,
+                    mrf_writes=(dst,) if (tag.mrf_write and dst is not None) else (),
+                    lrf_reads=tag.lrf_reads,
+                    orf_reads=tag.orf_reads,
+                    lrf_writes=1 if tag.lrf_write else 0,
+                    orf_writes=1 if tag.orf_write else 0,
+                    addrs=addrs,
+                    active=active,
+                )
             )
-        )
+        return compiled
+
+
+def _compile_shape(shape: Sequence[ShapeOp], num_regs: int, orf_entries: int) -> _ShapeCompilation:
+    schedule = schedule_registers(shape, num_regs)
+    arch_shape: list[ShapeOp] = []
+    for entry in schedule.entries:
+        if isinstance(entry, Fill):
+            arch_shape.append((OpClass.LOAD_LOCAL, entry.reg, ()))
+        elif isinstance(entry, Spill):
+            arch_shape.append((OpClass.STORE_LOCAL, None, (entry.reg,)))
+        else:
+            arch_shape.append((shape[entry.index][0], entry.dst, entry.srcs))
+    tags = tag_hierarchy(arch_shape, orf_entries=orf_entries)
+    # Bank-aware relabelling (the compiler technique of ref [27] the
+    # paper relies on for its "bank conflicts are rare" baseline).
+    mapping = assign_banks(arch_shape, tags, num_regs)
+    arch_shape, tags = remap_shape(arch_shape, tags, mapping)
+    traffic = RFTrafficCounts()
+    for (_, dst, _), tag in zip(arch_shape, tags):
         traffic.mrf_reads += len(tag.mrf_reads)
-        traffic.mrf_writes += len(mrf_writes)
+        traffic.mrf_writes += 1 if (tag.mrf_write and dst is not None) else 0
         traffic.orf_reads += tag.orf_reads
         traffic.lrf_reads += tag.lrf_reads
         traffic.orf_writes += 1 if tag.orf_write else 0
         traffic.lrf_writes += 1 if tag.lrf_write else 0
-    return CompiledWarp(
-        ops=compiled,
-        regs_used=comp.regs_used,
-        spill_slots=comp.num_slots,
+    return _ShapeCompilation(
+        entries=schedule.entries,
+        tags=tags,
+        arch_shape=arch_shape,
+        num_slots=schedule.num_slots,
+        regs_used=schedule.regs_used,
         rf_traffic=traffic,
     )
+
+
+def _orf_capacity(orf_entries: int | None) -> int:
+    if orf_entries is None:
+        return ORF_ENTRIES
+    if orf_entries < 0:
+        raise ValueError(f"orf_entries must be non-negative, got {orf_entries}")
+    return orf_entries
 
 
 def compile_warp(
     ops: list[WarpOp], num_regs: int, warp_uid: int = 0, orf_entries: int | None = None
 ) -> CompiledWarp:
     """Compile a single warp stream (convenience entry point for tests)."""
-    from repro.compiler.rfhierarchy import ORF_ENTRIES
-
-    cache = _ShapeCache(num_regs, ORF_ENTRIES if orf_entries is None else orf_entries)
-    comp = cache.compile(ops)
+    comp = _compile_shape(register_shape(ops), num_regs, _orf_capacity(orf_entries))
     stride = max(comp.num_slots, 1) * SLOT_BYTES
-    return _materialise(ops, comp, warp_uid, stride)
+    return CompiledWarp(comp, ops, LOCAL_BASE + warp_uid * stride)
 
 
 def compile_kernel(
@@ -173,30 +196,23 @@ def compile_kernel(
         code inserted and every operand tagged with its RF-hierarchy
         level.
     """
-    max_live = max(
-        (max_live_registers(w) for cta in trace.ctas for w in cta.warps), default=0
-    )
+    orf = _orf_capacity(orf_entries)
+    ids, shapes = shape_groups(trace)
+    max_live = max(map(max_live_registers, shapes.values()), default=0)
     budget = max_live if regs_per_thread is None else regs_per_thread
     if budget <= 0:
         raise ValueError("register budget must be positive")
-    from repro.compiler.rfhierarchy import ORF_ENTRIES
-
-    cache = _ShapeCache(budget, ORF_ENTRIES if orf_entries is None else orf_entries)
-    # First pass: compile all shapes to learn the kernel-wide slot count,
-    # which fixes the per-warp local-memory stride.
-    compilations = [
-        [cache.compile(w) for w in cta.warps] for cta in trace.ctas
-    ]
-    max_slots = max(
-        (c.num_slots for per_cta in compilations for c in per_cta), default=0
-    )
+    compiled = [_compile_shape(key, budget, orf) for key in shapes]
+    # The kernel-wide slot count fixes the per-warp local-memory stride.
+    max_slots = max((c.num_slots for c in compiled), default=0)
     warp_stride = max(max_slots, 1) * SLOT_BYTES
     ctas: list[CompiledCTA] = []
     warp_uid = 0
-    for cta, per_cta in zip(trace.ctas, compilations):
+    for cta in trace.ctas:
         warps = []
-        for w, comp in zip(cta.warps, per_cta):
-            warps.append(_materialise(w, comp, warp_uid, warp_stride))
+        for w in cta.warps:
+            comp = compiled[ids[warp_uid]]
+            warps.append(CompiledWarp(comp, w, LOCAL_BASE + warp_uid * warp_stride))
             warp_uid += 1
         ctas.append(CompiledCTA(warps))
     return CompiledKernel(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.compiler.liveness import max_live_registers
+from repro.compiler.pipeline import shape_groups
 from repro.isa.builder import WarpBuilder
 from repro.isa.kernel import CTATrace, KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE, WarpOp
@@ -97,10 +98,13 @@ def build_kernel_trace(
         ]
         return KernelTrace(name, launch, ctas, uses_texture=uses_texture)
 
+    def peak(trace: KernelTrace) -> int:
+        return max(map(max_live_registers, shape_groups(trace)[1].values()))
+
     trace = build(0)
     if target_regs is None:
         return trace
-    measured = max(max_live_registers(w) for cta in trace.ctas for w in cta.warps)
+    measured = peak(trace)
     if measured > target_regs:
         raise ValueError(
             f"{name}: natural register footprint {measured} exceeds the "
@@ -109,7 +113,7 @@ def build_kernel_trace(
     if measured == target_regs:
         return trace
     trace = build(target_regs - measured)
-    padded = max(max_live_registers(w) for cta in trace.ctas for w in cta.warps)
+    padded = peak(trace)
     if padded != target_regs:
         raise ValueError(
             f"{name}: padding produced peak liveness {padded}, expected "

@@ -2,24 +2,34 @@
 
 import pytest
 
-from repro.compiler import compile_kernel, compile_warp
+from repro.compiler import compile_kernel, compile_warp, pipeline
+from repro.compiler.compiled import CompiledOp, RFTrafficCounts
 from repro.compiler.pipeline import LOCAL_BASE, SLOT_BYTES
+from repro.experiments.runner import Runner
 from repro.isa import CTATrace, KernelTrace, LaunchConfig, OpClass, WarpBuilder
+from repro.kernels import all_benchmarks
+
+TABLE1 = [bm.name for bm in all_benchmarks()]
+LOCAL_OPS = (OpClass.LOAD_LOCAL, OpClass.STORE_LOCAL)
 
 
-def _pressure_warp(pool_size=10, rounds=4, lds=False):
-    """A warp with tunable register pressure and optional memory ops."""
-    b = WarpBuilder()
+def _pressure_warp(pool_size=10, rounds=4, lds=False, base=0, active=32):
+    """A warp with tunable register pressure and optional memory ops.
+
+    ``base`` and ``active`` change only its global addresses and lane
+    count, never its register shape.
+    """
+    b = WarpBuilder(active=active)
     pool = [b.iconst() for _ in range(pool_size)]
     for r in range(rounds):
-        x = b.load_global([1024 * r + 4 * t for t in range(32)], pool[0])
+        x = b.load_global([base + 1024 * r + 4 * t for t in range(32)], pool[0])
         for acc in pool:
             b.alu_into(acc, x)
         if lds:
             b.store_shared([4 * t for t in range(32)], x)
             b.barrier()
     out = b.alu(pool[0], pool[1])
-    b.store_global([4 * t for t in range(32)], out)
+    b.store_global([base + 4 * t for t in range(32)], out)
     return b.ops
 
 
@@ -101,6 +111,18 @@ class TestCompileKernel:
         with pytest.raises(ValueError, match="positive"):
             compile_kernel(_kernel(), regs_per_thread=0)
 
+    @pytest.mark.parametrize(
+        "compile_fn",
+        [
+            lambda orf: compile_kernel(_kernel(), orf_entries=orf),
+            lambda orf: compile_warp(_pressure_warp(), num_regs=16, orf_entries=orf),
+        ],
+        ids=["compile_kernel", "compile_warp"],
+    )
+    def test_negative_orf_entries_rejected(self, compile_fn):
+        with pytest.raises(ValueError, match="orf_entries"):
+            compile_fn(-1)
+
     def test_stats_aggregation(self):
         ck = compile_kernel(_kernel())
         s = ck.stats()
@@ -131,6 +153,92 @@ class TestCompileKernel:
         regions.sort()
         for (lo1, hi1), (lo2, _) in zip(regions, regions[1:]):
             assert hi1 < lo2
+
+    def test_warps_sharing_a_shape_keep_their_own_data(self):
+        # One register shape, but every warp has its own addresses and
+        # lane count; at a spilling budget they share one compilation.
+        lc = LaunchConfig(threads_per_cta=64, num_ctas=2, smem_bytes_per_cta=256)
+        ctas = [
+            CTATrace(
+                [
+                    _pressure_warp(pool_size=16, base=(2 * c + w) << 20, active=32 - 8 * w)
+                    for w in range(2)
+                ]
+            )
+            for c in range(2)
+        ]
+        trace = KernelTrace("shared-shape", lc, ctas)
+        ck = compile_kernel(trace, regs_per_thread=8)
+        assert len({id(w.shape) for cta in ck.ctas for w in cta.warps}) == 1
+        stride = ck.spill_slots * SLOT_BYTES
+        assert stride > 0
+        pairs = [
+            (w, own)
+            for cta, tcta in zip(ck.ctas, trace.ctas)
+            for w, own in zip(cta.warps, tcta.warps)
+        ]
+        for uid, (w, own) in enumerate(pairs):
+            assert [(o.addrs, o.active) for o in w.ops if o.op not in LOCAL_OPS] == [
+                (op.addrs, op.active) for op in own
+            ]
+            lo = LOCAL_BASE + uid * stride
+            local = [a for o in w.ops if o.op in LOCAL_OPS for a in o.addrs]
+            assert local and all(lo <= a < lo + stride for a in local)
+
+
+def _spill_regs(max_live):
+    return max(6, 3 * max_live // 4)
+
+
+@pytest.fixture(scope="module")
+def table1_runner():
+    return Runner("tiny")
+
+
+class TestShapeLevelCompile:
+    @pytest.mark.parametrize("name", TABLE1)
+    def test_shape_facts_equal_materialised_ops(self, table1_runner, name):
+        nospill = table1_runner.compiled(name)
+        for ck in (nospill, table1_runner.compiled(name, _spill_regs(nospill.max_live))):
+            warps = [w for cta in ck.ctas for w in cta.warps]
+            assert ck.total_ops == sum(len(w.ops) for w in warps)
+            recount = RFTrafficCounts()
+            for o in (o for w in warps for o in w.ops):
+                recount.mrf_reads += len(o.mrf_reads)
+                recount.mrf_writes += len(o.mrf_writes)
+                recount.orf_reads += o.orf_reads
+                recount.orf_writes += o.orf_writes
+                recount.lrf_reads += o.lrf_reads
+                recount.lrf_writes += o.lrf_writes
+            assert ck.rf_traffic() == recount
+
+    def test_summaries_build_no_per_op_records(self, monkeypatch):
+        rn = Runner("tiny")
+        traces = {name: rn.trace(name) for name in TABLE1}
+        built, live_calls = [], []
+        op_init, max_live = CompiledOp.__init__, pipeline.max_live_registers
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            op_init(self, *args, **kwargs)
+
+        def counting_max_live(ops):
+            live_calls.append(1)
+            return max_live(ops)
+
+        monkeypatch.setattr(CompiledOp, "__init__", counting_init)
+        monkeypatch.setattr(pipeline, "max_live_registers", counting_max_live)
+        for name, trace in traces.items():
+            shapes = {
+                tuple((op.op, op.dst, op.srcs) for op in w) for cta in trace.ctas for w in cta.warps
+            }
+            live_calls.clear()
+            nospill = rn.summary(name)
+            assert len(live_calls) == len(shapes)
+            live_calls.clear()
+            rn.summary(name, _spill_regs(nospill.max_live))
+            assert len(live_calls) == len(shapes)
+        assert not built
 
 
 class TestSlotLayout:
