@@ -1,7 +1,8 @@
 """Deterministic microbenchmarks of the simulator's component models.
 
 Each benchmark exercises one hot path -- the bank-conflict models, the
-coalescer, the data cache, or a full :func:`repro.sm.simulate` call --
+coalescer, the data cache, trace generation and loading, or a full
+:func:`repro.sm.simulate` call --
 on a fixed synthetic or compiled workload, so timing differences between
 two revisions reflect code changes, not input drift.  The returned
 metadata pins deterministic facts (op counts, simulated cycles) that
@@ -16,6 +17,10 @@ from repro.bench.report import BenchEntry, timed
 #: compute kernel, one shared-memory-heavy, one spill-heavy at its paper
 #: budget, and one irregular/divergent.
 SIM_KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
+
+#: Kernels covered by the trace-layer benchmarks: a padded partial-warp
+#: wavefront, a divergent graph walk, and a register-blocked GEMM.
+TRACE_KERNELS = ("needle", "bfs", "dgemm")
 
 #: Iterations chosen so each micro entry runs for tens of milliseconds.
 _BANK_ROUNDS = 20
@@ -134,6 +139,55 @@ def bench_cache(scale: str, repeats: int) -> list[BenchEntry]:
     return [timed("micro.cache.readwrite", body, repeats)]
 
 
+def _trace_meta(traces) -> dict:
+    """Warp-op count and a digest of every warp's ops, in kernel order."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for trace in traces:
+        for cta in trace.ctas:
+            for warp in cta.warps:
+                h.update(repr([
+                    (op.op.name, op.dst, op.srcs, op.addrs, op.active) for op in warp
+                ]).encode())
+    return {"warp_ops": sum(t.total_ops for t in traces), "digest": h.hexdigest()[:16]}
+
+
+def bench_trace(scale: str, repeats: int) -> list[BenchEntry]:
+    """Time trace generation and reading the same traces from ``.npz``.
+
+    Loading is what a warm artefact cache does instead of generating,
+    so the two entries must agree on their metadata.
+    """
+    import tempfile
+    from pathlib import Path
+
+    from repro.isa.io import load_trace, save_trace
+    from repro.kernels import get_benchmark
+
+    built: dict = {}
+    loaded: dict = {}
+
+    def build():
+        for name in TRACE_KERNELS:
+            built[name] = get_benchmark(name).build(scale)
+
+    build_entry = timed("micro.trace.build", build, repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.npz" for name in TRACE_KERNELS}
+        for name, path in paths.items():
+            save_trace(built[name], path)
+
+        def load():
+            for name, path in paths.items():
+                loaded[name] = load_trace(path)
+
+        load_entry = timed("micro.trace.load", load, repeats)
+    build_entry.meta.update(_trace_meta(built.values()))
+    load_entry.meta.update(_trace_meta(loaded.values()))
+    return [build_entry, load_entry]
+
+
 def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
     """Time full ``simulate()`` calls per kernel under two designs.
 
@@ -208,5 +262,6 @@ def run_micro(scale: str, repeats: int) -> list[BenchEntry]:
     entries += bench_coalescer(scale, repeats)
     entries += bench_cache(scale, repeats)
     entries += bench_banks(scale, repeats)
+    entries += bench_trace(scale, repeats)
     entries += bench_simulate(scale, repeats)
     return entries

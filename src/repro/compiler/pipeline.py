@@ -27,9 +27,9 @@ from repro.compiler.compiled import (
 )
 from repro.compiler.bankassign import assign_banks, remap_shape
 from repro.compiler.liveness import max_live_registers
-from repro.compiler.regalloc import Fill, ShapeOp, Spill, schedule_registers
+from repro.compiler.regalloc import Fill, Spill, schedule_registers
 from repro.compiler.rfhierarchy import ORF_ENTRIES, OperandTags, tag_hierarchy
-from repro.isa.kernel import KernelTrace
+from repro.isa.kernel import KernelTrace, ShapeOp, register_shape
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import WARP_SIZE, WarpOp
 
@@ -39,40 +39,6 @@ LOCAL_BASE = 1 << 40
 
 #: Bytes reserved per spill slot per warp: 32 lanes x 4 bytes.
 SLOT_BYTES = 4 * WARP_SIZE
-
-
-def register_shape(ops: Sequence[WarpOp]) -> tuple[ShapeOp, ...]:
-    """A warp's register shape: its ``(op class, dst, srcs)`` sequence.
-
-    Addresses and active lanes are left out.  Liveness, register
-    allocation, hierarchy tagging and bank relabelling read nothing
-    else, so warps with one shape share all of their results.
-    """
-    return tuple((op.op, op.dst, op.srcs) for op in ops)
-
-
-def shape_groups(trace: KernelTrace) -> tuple[list[int], dict[tuple, list[WarpOp]]]:
-    """Group a trace's warps by register shape.
-
-    Warps get shape numbers rather than keys, so that only one key per
-    distinct shape stays alive.
-
-    Returns:
-        Each warp's shape number, in launch order (CTA-major), and the
-        distinct shapes in number order, each with the first warp that
-        has it.
-    """
-    numbers: dict[tuple, int] = {}
-    first: dict[tuple, list[WarpOp]] = {}
-    ids: list[int] = []
-    for cta in trace.ctas:
-        for w in cta.warps:
-            key = register_shape(w)
-            if key not in numbers:
-                numbers[key] = len(numbers)
-                first[key] = w
-            ids.append(numbers[key])
-    return ids, first
 
 
 @dataclass(slots=True)
@@ -197,12 +163,11 @@ def compile_kernel(
         level.
     """
     orf = _orf_capacity(orf_entries)
-    ids, shapes = shape_groups(trace)
-    max_live = max(map(max_live_registers, shapes.values()), default=0)
+    max_live = max(map(max_live_registers, trace.shape_warps), default=0)
     budget = max_live if regs_per_thread is None else regs_per_thread
     if budget <= 0:
         raise ValueError("register budget must be positive")
-    compiled = [_compile_shape(key, budget, orf) for key in shapes]
+    compiled = [_compile_shape(register_shape(w), budget, orf) for w in trace.shape_warps]
     # The kernel-wide slot count fixes the per-warp local-memory stride.
     max_slots = max((c.num_slots for c in compiled), default=0)
     warp_stride = max(max_slots, 1) * SLOT_BYTES
@@ -211,7 +176,7 @@ def compile_kernel(
     for cta in trace.ctas:
         warps = []
         for w in cta.warps:
-            comp = compiled[ids[warp_uid]]
+            comp = compiled[trace.shape_ids[warp_uid]]
             warps.append(CompiledWarp(comp, w, LOCAL_BASE + warp_uid * warp_stride))
             warp_uid += 1
         ctas.append(CompiledCTA(warps))

@@ -26,13 +26,10 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.compiler.liveness import next_use_table
-from repro.isa.opcodes import OpClass
+from repro.isa.kernel import ShapeOp
 
 #: Sentinel next-use position for values that are never read again.
 _NO_USE = 1 << 60
-
-#: Register shape of one op: (opclass, dst vreg or None, src vregs).
-ShapeOp = tuple[OpClass, Union[int, None], tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)

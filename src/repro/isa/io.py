@@ -104,26 +104,25 @@ def load_trace(path: str | Path) -> KernelTrace:
         current = [op.value for op in _OPCODES]
         if stored_ops != current:
             raise ValueError("opcode table mismatch; trace written by another build")
-        op_arr = data["op"]
-        dst = data["dst"]
-        srcs = data["srcs"]
-        src_off = data["src_off"]
-        addrs = data["addrs"]
-        addr_off = data["addr_off"]
-        has_addrs = data["has_addrs"]
-        active = data["active"]
-        warp_bounds = data["warp_bounds"]
+        # Decode from Python lists: indexing a numpy array per element
+        # yields numpy scalars and costs more than the conversion.
+        op_arr = data["op"].tolist()
+        dst = data["dst"].tolist()
+        srcs = data["srcs"].tolist()
+        src_off = data["src_off"].tolist()
+        addrs = data["addrs"].tolist()
+        addr_off = data["addr_off"].tolist()
+        has_addrs = data["has_addrs"].tolist()
+        active = data["active"].tolist()
+        warp_bounds = data["warp_bounds"].tolist()
 
     def decode(i: int) -> WarpOp:
-        opc = _OPCODES[op_arr[i]]
-        s0, s1 = src_off[i], src_off[i + 1]
-        a0, a1 = addr_off[i], addr_off[i + 1]
         return WarpOp(
-            op=opc,
-            dst=None if dst[i] == 0 else int(dst[i]) - 1,
-            srcs=tuple(int(x) for x in srcs[s0:s1]),
-            addrs=tuple(int(x) for x in addrs[a0:a1]) if has_addrs[i] else None,
-            active=int(active[i]),
+            op=_OPCODES[op_arr[i]],
+            dst=None if dst[i] == 0 else dst[i] - 1,
+            srcs=tuple(srcs[src_off[i] : src_off[i + 1]]),
+            addrs=tuple(addrs[addr_off[i] : addr_off[i + 1]]) if has_addrs[i] else None,
+            active=active[i],
         )
 
     launch = LaunchConfig(
@@ -133,12 +132,11 @@ def load_trace(path: str | Path) -> KernelTrace:
     )
     warps_per_cta = meta["warps_per_cta"]
     ctas: list[CTATrace] = []
-    wb = list(warp_bounds)
     w = 0
     for _ in range(meta["num_ctas"]):
         warps = []
         for _ in range(warps_per_cta):
-            start, end = wb[w], wb[w + 1]
+            start, end = warp_bounds[w], warp_bounds[w + 1]
             warps.append([decode(i) for i in range(start, end)])
             w += 1
         ctas.append(CTATrace(warps))

@@ -16,9 +16,24 @@ methodology.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.isa.opcodes import OpClass
 from repro.isa.trace import WARP_SIZE, TraceStats, WarpOp
+
+#: Register shape of one op: (opclass, dst vreg or None, src vregs).
+ShapeOp = tuple[OpClass, int | None, tuple[int, ...]]
+
+
+def register_shape(ops: Sequence[WarpOp]) -> tuple[ShapeOp, ...]:
+    """A warp's register shape: its ``(op class, dst, srcs)`` sequence.
+
+    Addresses and active lanes are left out.  Liveness, register
+    allocation, hierarchy tagging and bank relabelling read nothing
+    else, so warps with one shape share all of their results.
+    """
+    return tuple([(op.op, op.dst, op.srcs) for op in ops])
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +99,7 @@ class CTATrace:
         if not self.warps:
             raise ValueError("CTA must contain at least one warp")
         barrier_counts = {
-            sum(1 for op in w if op.op.name == "BARRIER") for w in self.warps
+            sum(1 for op in w if op.op is OpClass.BARRIER) for w in self.warps
         }
         if len(barrier_counts) != 1:
             raise ValueError(
@@ -103,13 +118,24 @@ class CTATrace:
 
 @dataclass(slots=True)
 class KernelTrace:
-    """A full kernel launch: metadata plus all CTA traces."""
+    """A full kernel launch: metadata plus all CTA traces.
+
+    Warps are numbered by register shape once, when the trace is built,
+    so that the compiler and the padding in :mod:`repro.kernels.base`
+    work once per distinct shape without regrouping warps.
+
+    Attributes:
+        shape_ids: Each warp's shape number, in launch order (CTA-major).
+        shape_warps: The first warp with each shape, in number order.
+    """
 
     name: str
     launch: LaunchConfig
     ctas: list[CTATrace]
     uses_texture: bool = False
     _stats: TraceStats | None = field(default=None, repr=False, compare=False)
+    shape_ids: list[int] = field(init=False, repr=False, compare=False)
+    shape_warps: list[list[WarpOp]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.ctas) != self.launch.num_ctas:
@@ -121,6 +147,17 @@ class KernelTrace:
                 raise ValueError(
                     f"CTA has {cta.num_warps} warps, launch declares {self.launch.warps_per_cta}"
                 )
+        # Warps keep numbers, not keys: a key costs a tuple per op, so
+        # only one per distinct shape lives, and only while numbering.
+        numbers: dict[tuple[ShapeOp, ...], int] = {}
+        self.shape_ids = []
+        self.shape_warps = []
+        for cta in self.ctas:
+            for w in cta.warps:
+                n = numbers.setdefault(register_shape(w), len(numbers))
+                if n == len(self.shape_warps):
+                    self.shape_warps.append(w)
+                self.shape_ids.append(n)
 
     @property
     def total_ops(self) -> int:

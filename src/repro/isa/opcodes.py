@@ -40,6 +40,11 @@ class OpClass(enum.Enum):
     BARRIER = "bar.sync"
     EXIT = "exit"
 
+    # Enum hashes a member's name in Python code; every op, shape key and
+    # plan lookup hashes op classes, and members compare by identity, so
+    # hash by identity (in C) instead.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OpClass.{self.name}"
 

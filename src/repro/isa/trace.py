@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import _MEMORY_OPS, OpClass
 
 #: Number of threads in a warp (paper Section 2: 32-thread warps).
 WARP_SIZE = 32
@@ -28,8 +28,8 @@ class WarpOp:
 
     Attributes:
         op: Instruction class.
-        dst: Virtual destination register, or ``None`` for stores,
-            barriers, and other result-less instructions.
+        dst: Virtual destination register (non-negative), or ``None``
+            for stores, barriers, and other result-less instructions.
         srcs: Virtual source registers (address and data operands).
         addrs: Per-active-thread byte addresses for memory instructions,
             ``None`` otherwise.  ``len(addrs) == active``.
@@ -48,7 +48,9 @@ class WarpOp:
     active: int = WARP_SIZE
 
     def __post_init__(self) -> None:
-        if self.op.is_memory:
+        if self.dst is not None and self.dst < 0:
+            raise ValueError(f"dst must be a non-negative register, got {self.dst}")
+        if self.op in _MEMORY_OPS:
             if not 0 <= self.active <= WARP_SIZE:
                 raise ValueError(
                     f"active thread count {self.active} outside [0, {WARP_SIZE}]"
@@ -59,6 +61,8 @@ class WarpOp:
                 raise ValueError(
                     f"{self.op}: {len(self.addrs)} addresses for {self.active} active threads"
                 )
+        elif not isinstance(self.op, OpClass):
+            raise ValueError(f"op must be an OpClass, got {self.op!r}")
         else:
             if not 1 <= self.active <= WARP_SIZE:
                 raise ValueError(

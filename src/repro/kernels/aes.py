@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, region, require_scale
 
 NAME = "aes"
 TARGET_REGS = 28
@@ -50,8 +50,8 @@ def build(scale: str = "small") -> KernelTrace:
     )
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         block0 = (cta * warps_per_cta + warp) * WARP_SIZE
         if warp == 0:
             # First warp stages the T-boxes, replicating the four 256-byte
@@ -89,6 +89,6 @@ def build(scale: str = "small") -> KernelTrace:
                 [_CIPHER + 4 * (w * blocks + block0 + t) for t in range(WARP_SIZE)],
                 state[w],
             )
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, broadcast, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, broadcast, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "backprop"
 TARGET_REGS = 17
@@ -33,8 +33,8 @@ def build(scale: str = "small") -> KernelTrace:
     )
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         unit0 = (cta * warps_per_cta + warp) * WARP_SIZE
         acc = b.iconst()
         for j in range(in_units):
@@ -51,6 +51,6 @@ def build(scale: str = "small") -> KernelTrace:
         b.barrier()
         out = b.load_shared(saddr)
         b.store_global(coalesced(_OUT, unit0), out)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "bfs"
 TARGET_REGS = 9
@@ -80,16 +80,16 @@ def build(scale: str = "small") -> KernelTrace:
     )
     frontier_sets = [set(f) for f in levels]
 
-    def warp_fn(cta: int, warp: int, pad: int):
+    def warp_fn(cta: int, warp: int):
         lvl, cta_in_level = divmod(cta, ctas_per_level)
-        b = PaddedWarp(pad)
+        b = WarpBuilder()
         node0 = (cta_in_level * warps_per_cta + warp) * WARP_SIZE
         # Every thread checks its node's frontier flag (cost array).
         flag = b.load_global(coalesced(_COST, node0))
         b.touch(flag)
         mine = [n for n in range(node0, node0 + WARP_SIZE) if n in frontier_sets[lvl]]
         if not mine:
-            return b.finish()
+            return b
         na = len(mine)
         # Frontier threads read their CSR offsets (8-byte entries).
         off = b.load_global([_NODES + 4 * n for n in mine], active=na)
@@ -107,6 +107,6 @@ def build(scale: str = "small") -> KernelTrace:
             seen = b.load_global(vaddr, tgt, active=ne)
             upd = b.alu(seen, tgt, active=ne)
             b.store_global(vaddr, upd, active=ne)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

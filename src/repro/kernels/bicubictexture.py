@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "bicubictexture"
 TARGET_REGS = 33
@@ -31,8 +31,8 @@ def build(scale: str = "small") -> KernelTrace:
     launch = LaunchConfig(threads_per_cta=THREADS_PER_CTA, num_ctas=pixels // THREADS_PER_CTA)
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         pix0 = (cta * warps_per_cta + warp) * WARP_SIZE
         u = b.iconst()
         v = b.iconst()
@@ -53,7 +53,7 @@ def build(scale: str = "small") -> KernelTrace:
         out = b.alu(row_sums[0], row_sums[1], wv)
         out = b.alu(out, row_sums[2], row_sums[3])
         b.store_global(coalesced(_OUT, pix0), out)
-        return b.finish()
+        return b
 
     return build_kernel_trace(
         NAME, launch, warp_fn, target_regs=TARGET_REGS, uses_texture=True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, region, require_scale
 
 NAME = "dct8x8"
 TARGET_REGS = 26
@@ -29,8 +29,8 @@ def build(scale: str = "small") -> KernelTrace:
     launch = LaunchConfig(threads_per_cta=THREADS_PER_CTA, num_ctas=rows // THREADS_PER_CTA)
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         row0 = (cta * warps_per_cta + warp) * WARP_SIZE
         # The warp's 256 pixels are fetched as 8 coalesced 128-byte
         # chunks (the SDK kernel stages via shared memory to get this
@@ -51,6 +51,6 @@ def build(scale: str = "small") -> KernelTrace:
         for p, v in enumerate(stage):
             addrs = [_OUT + 4 * (chunk0 + p * WARP_SIZE + t) for t in range(WARP_SIZE)]
             b.store_global(addrs, v)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, region, require_scale
 
 NAME = "dgemm"
 TARGET_REGS = 57
@@ -45,8 +45,8 @@ def build(scale: str = "small") -> KernelTrace:
     rows_per_warp = tile_words // warps_per_cta // WARP_SIZE
     s_a, s_b = 0, tile_words * 4
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         acc = [b.iconst() for _ in range(RB * RB)]
         for kt in range(k_tiles):
             # Stage this warp's slice of the A and B tiles (doubles:
@@ -89,6 +89,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.store_global(
                 [_C + 8 * (out0 + i * WARP_SIZE + t) for t in range(WARP_SIZE)], a
             )
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

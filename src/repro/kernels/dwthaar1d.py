@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "dwthaar1d"
 TARGET_REGS = 14
@@ -32,8 +32,8 @@ def build(scale: str = "small") -> KernelTrace:
     )
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         pair0 = (cta * warps_per_cta + warp) * WARP_SIZE
         # Interleaved even/odd loads: two coalesced 128-byte rows.
         even = b.load_global(coalesced(_IN, 2 * pair0))
@@ -49,6 +49,6 @@ def build(scale: str = "small") -> KernelTrace:
         det = b.alu(e, o)
         b.store_global(coalesced(_APPROX, pair0), avg)
         b.store_global(coalesced(_DETAIL, pair0), det)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "hotspot"
 TARGET_REGS = 22
@@ -37,8 +37,8 @@ def build(scale: str = "small") -> KernelTrace:
     tile_words = THREADS_PER_CTA  # 16x16 tile
     s_temp, s_power = 0, tile_words * 4
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         elem0 = (cta * warps_per_cta + warp) * WARP_SIZE
         tile_off = warp * WARP_SIZE
         t_val = b.load_global(coalesced(_TEMP, elem0))
@@ -70,6 +70,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.barrier()
         out = b.load_shared([s_temp + 4 * (tile_off + t) for t in range(WARP_SIZE)])
         b.store_global(coalesced(_OUT, elem0), out)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

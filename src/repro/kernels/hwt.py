@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "hwt"
 TARGET_REGS = 35
@@ -34,8 +34,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     tile_words = elems_per_cta  # 1024 words staged per CTA
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         base_elem = cta * elems_per_cta + warp * WARP_SIZE * 4
         # Stage 4 words per thread into shared memory and keep them live
         # in registers as well (register-heavy variant).
@@ -77,6 +77,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.barrier()
         out = b.alu(held[0], held[3])
         b.store_global(coalesced(_OUT, base_elem), out)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "lps"
 TARGET_REGS = 15
@@ -34,8 +34,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     tile_words = THREADS_PER_CTA
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         elem0 = (cta * warps_per_cta + warp) * WARP_SIZE
         tile_off = warp * WARP_SIZE
         # March down the column: keep current plane in shared memory,
@@ -60,6 +60,6 @@ def build(scale: str = "small") -> KernelTrace:
             nxt = b.load_global(coalesced(_U, z * plane_words + elem0))
             b.store_shared([4 * (tile_off + t) for t in range(WARP_SIZE)], nxt)
             b.barrier()
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, region, require_scale
 
 NAME = "lu"
 TARGET_REGS = 20
@@ -57,9 +57,9 @@ def build(scale: str = "small") -> KernelTrace:
         # A 16-wide tile row is half a warp; two rows per warp load.
         return [_MAT + 4 * (elem + (t % TILE) + (t // TILE) * n) for t in range(WARP_SIZE)]
 
-    def warp_fn(cta: int, warp: int, pad: int):
+    def warp_fn(cta: int, warp: int):
         step, ti, tj = ctas[cta]
-        b = PaddedWarp(pad)
+        b = WarpBuilder()
         # Each warp stages 2 rows of each of the three tiles.
         r0 = warp * 2
         for sbase, (src_i, src_j) in (
@@ -86,6 +86,6 @@ def build(scale: str = "small") -> KernelTrace:
         out = b.alu(own, acc)
         b.barrier()
         b.store_global(tile_addrs(ti, tj, r0), out)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

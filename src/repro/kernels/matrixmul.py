@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, require_scale, region
+from repro.kernels.base import WarpBuilder, build_kernel_trace, require_scale, region
 
 NAME = "matrixmul"
 TARGET_REGS = 17
@@ -38,9 +38,9 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     s_a, s_b = 0, TILE * TILE * 4
 
-    def warp_fn(cta: int, warp: int, pad: int):
+    def warp_fn(cta: int, warp: int):
         tile_row, tile_col = divmod(cta, tiles)
-        b = PaddedWarp(pad)
+        b = WarpBuilder()
         acc = b.iconst()
         # Each warp covers 2 rows of the 16x16 tile (32 threads).
         warp_r0 = warp * 2
@@ -74,6 +74,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.barrier()
         c_elem = (tile_row * TILE + warp_r0) * n + tile_col * TILE
         b.store_global([_C + 4 * (c_elem + t % TILE) for t in range(WARP_SIZE)], acc)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

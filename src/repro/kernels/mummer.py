@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "gpu-mummer"
 TARGET_REGS = 21
@@ -91,8 +91,8 @@ def build(scale: str = "small") -> KernelTrace:
         s[mutate[q]] = mutations[q][mutate[q]]
         return s
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         q0 = (cta * warps_per_cta + warp) * WARP_SIZE
         paths = [trie.walk(query(q0 + t)) for t in range(WARP_SIZE)]
         # Load each thread's query once (coalesced byte stream, modelled
@@ -107,6 +107,6 @@ def build(scale: str = "small") -> KernelTrace:
             match = b.alu(match, node)
             match = b.alu(match)
         b.store_global(coalesced(_OUT, q0), match)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, broadcast, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, broadcast, build_kernel_trace, coalesced, region, require_scale
 from repro.kernels.patterns import compute_block
 
 NAME = "nbody"
@@ -36,8 +36,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     step = _PARTNER_STEP[scale]
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         elem = (cta * warps_per_cta + warp) * WARP_SIZE
         # Own position (x, y, z packed as consecutive words per body).
         px = b.load_global(coalesced(_POS, elem))
@@ -49,6 +49,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.alu_into(ax, f)
         out = b.alu(ax, pv)
         b.store_global(coalesced(_OUT, elem), out)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, region, require_scale
 
 NAME = "needle"
 TARGET_REGS = 18
@@ -68,10 +68,10 @@ def build(scale: str = "small", blocking_factor: int = DEFAULT_BLOCKING) -> Kern
     halo_words = (bf + 1) * pitch
     s_block, s_ref = 0, halo_words * 4
 
-    def warp_fn(cta: int, warp: int, pad: int):
+    def warp_fn(cta: int, warp: int):
         block_row, block_col = divmod(cta, blocks)
         active = min(WARP_SIZE, bf)
-        b = PaddedWarp(pad, active=active)
+        b = WarpBuilder(active=active)
         lane0 = warp * WARP_SIZE
         # Stage the reference sub-matrix (bf x bf) and the halo row/col
         # of the score matrix for this block.  Wide blocks (bf = 64)
@@ -177,6 +177,6 @@ def build(scale: str = "small", blocking_factor: int = DEFAULT_BLOCKING) -> Kern
                 b.store_global(
                     [_SCORE + 4 * (elem + t) for t in range(active)], v, active=active
                 )
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

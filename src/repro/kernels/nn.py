@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, broadcast, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, broadcast, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "nn"
 TARGET_REGS = 13
@@ -29,8 +29,8 @@ def build(scale: str = "small") -> KernelTrace:
     launch = LaunchConfig(threads_per_cta=THREADS_PER_CTA, num_ctas=num_ctas)
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         elem0 = (cta * warps_per_cta + warp) * WARP_SIZE
         x = b.load_global(coalesced(_IN, elem0))
         acc = b.iconst()
@@ -42,6 +42,6 @@ def build(scale: str = "small") -> KernelTrace:
                 b.alu_into(acc, w, x)
             acc = b.sfu(acc)  # activation
         b.store_global(coalesced(_OUT, elem0), acc)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

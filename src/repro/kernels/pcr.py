@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "pcr"
 TARGET_REGS = 33
@@ -51,8 +51,8 @@ def build(scale: str = "small") -> KernelTrace:
     nwords = THREADS_PER_CTA  # words per coefficient array
     sa, sb_, sc, sd = 0, nwords * 4, 2 * nwords * 4, 3 * nwords * 4
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         lane0 = warp * WARP_SIZE
 
         def lanes(sbase, offset=0, stride=1):
@@ -65,7 +65,7 @@ def build(scale: str = "small") -> KernelTrace:
             _reduce_phase(b, cta, lane0, lanes, steps)
         else:
             _substitute_phase(b, cta - systems, lane0, lanes)
-        return b.finish()
+        return b
 
     def _reduce_phase(b, system, lane0, lanes, nsteps):
         sys_elem = system * 4 * nwords

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 from repro.kernels.patterns import compute_block
 
 NAME = "ray"
@@ -54,8 +54,8 @@ def build(scale: str = "small") -> KernelTrace:
     deep_base = min(num_nodes - 1, 1 << hot_depth)
     deep_count = max(1, num_nodes - deep_base)
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         warp_seq = cta * warps_per_cta + warp
         pix0 = warp_seq * WARP_SIZE
         # Ray state held live across all bounces.
@@ -92,6 +92,6 @@ def build(scale: str = "small") -> KernelTrace:
             direction = [b.alu(d, shade) for d in direction]
             origin = [b.alu(o, hit) for o in origin]
         b.store_global(coalesced(_FRAME, pix0), colour)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "recursivegaussian"
 TARGET_REGS = 23
@@ -34,8 +34,8 @@ def build(scale: str = "small") -> KernelTrace:
     )
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         col0 = (cta * warps_per_cta + warp) * WARP_SIZE
         # 4-tap recursive state, loop-carried across rows.
         xp = [b.iconst() for _ in range(2)]  # previous inputs
@@ -47,6 +47,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.store_global(coalesced(_OUT, r * cols + col0), y)
             xp = [x, xp[0]]
             yp = [y, yp[0]]
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

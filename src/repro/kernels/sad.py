@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "sad"
 TARGET_REGS = 31
@@ -30,8 +30,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     row_words = 1024  # reference frame row pitch
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         # The current block's 8 rows live in registers for the whole
         # search (the Table 1 register driver).
         cur_rows = [
@@ -52,6 +52,6 @@ def build(scale: str = "small") -> KernelTrace:
                 b.alu_into(sad, ref, cur_rows[r])
             best = b.alu(best, sad)
         b.store_global(coalesced(_OUT, cand0), best)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, region, require_scale
 from repro.kernels.patterns import smem_tree_reduce, stream_mac
 
 NAME = "scalarprod"
@@ -34,8 +34,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     elems_per_warp = vec_len // warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         first = cta * vec_len + warp * elems_per_warp
         acc = stream_mac(
             b, [_A, _B], first, iters=elems_per_warp // WARP_SIZE
@@ -44,6 +44,6 @@ def build(scale: str = "small") -> KernelTrace:
         if warp == 0:
             out = b.alu(acc)
             b.store_global([_OUT + 4 * cta], out, active=1)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "sgemv"
 TARGET_REGS = 14
@@ -32,8 +32,8 @@ def build(scale: str = "small") -> KernelTrace:
         smem_bytes_per_cta=SMEM_PER_CTA,
     )
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         row = cta * warps_per_cta + warp
         acc = b.iconst()
         for j in range(0, cols, WARP_SIZE):
@@ -47,6 +47,6 @@ def build(scale: str = "small") -> KernelTrace:
         partial = b.load_shared([sbase + 4 * (t % 16) for t in range(WARP_SIZE)])
         total = b.alu(acc, partial)
         b.store_global([_Y + 4 * row] * WARP_SIZE, total, active=1)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

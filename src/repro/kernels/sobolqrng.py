@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 from repro.kernels.patterns import alu_chain
 
 NAME = "sobolqrng"
@@ -35,8 +35,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     total_threads = num_ctas * THREADS_PER_CTA
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         # Stage the direction vectors; the 512-byte buffer (2 B/thread,
         # Table 1) holds 128 words shared by the CTA's warps.
         smem_words = SMEM_PER_CTA // 4
@@ -51,6 +51,6 @@ def build(scale: str = "small") -> KernelTrace:
             state = alu_chain(b, b.alu(state, dirs), 4)
             # Grid-stride output: thread t writes out[i*total + gtid + t].
             b.store_global(coalesced(_OUT, i * total_threads + gtid), state)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "srad"
 TARGET_REGS = 18
@@ -38,9 +38,9 @@ def build(scale: str = "small") -> KernelTrace:
     )
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
+    def warp_fn(cta: int, warp: int):
         phase, cta_in_phase = divmod(cta, ctas_per_phase)
-        b = PaddedWarp(pad)
+        b = WarpBuilder()
         elem0 = (cta_in_phase * warps_per_cta + warp) * WARP_SIZE
         row, col = divmod(elem0, dim)
         centre = b.load_global(coalesced(_IMG, elem0))
@@ -61,6 +61,6 @@ def build(scale: str = "small") -> KernelTrace:
         upd = b.alu(c, cl, centre)
         target = _COEFF if phase == 0 else _OUT
         b.store_global(coalesced(target, elem0), upd)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 from repro.kernels.patterns import alu_chain
 
 NAME = "sto"
@@ -41,8 +41,8 @@ def build(scale: str = "small") -> KernelTrace:
     warps_per_cta = launch.warps_per_cta
     words_per_warp = (SMEM_PER_CTA // 4) // warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         gbase_elem = (cta * warps_per_cta + warp) * words_per_warp
         sbase = warp * words_per_warp * 4
         # Stage this warp's chunk into shared memory.
@@ -63,6 +63,6 @@ def build(scale: str = "small") -> KernelTrace:
             b.store_shared([sbase + 4 * (off + t) for t in range(WARP_SIZE)], state)
         d = b.alu(state)
         b.store_global(coalesced(_DIGEST, (cta * warps_per_cta + warp) * WARP_SIZE), d)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

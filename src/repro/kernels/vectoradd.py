@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.isa.kernel import KernelTrace, LaunchConfig
 from repro.isa.trace import WARP_SIZE
-from repro.kernels.base import PaddedWarp, build_kernel_trace, coalesced, region, require_scale
+from repro.kernels.base import WarpBuilder, build_kernel_trace, coalesced, region, require_scale
 
 NAME = "vectoradd"
 TARGET_REGS = 9
@@ -28,8 +28,8 @@ def build(scale: str = "small", threads_per_cta: int = THREADS_PER_CTA) -> Kerne
     launch = LaunchConfig(threads_per_cta=threads_per_cta, num_ctas=num_ctas)
     warps_per_cta = launch.warps_per_cta
 
-    def warp_fn(cta: int, warp: int, pad: int):
-        b = PaddedWarp(pad)
+    def warp_fn(cta: int, warp: int):
+        b = WarpBuilder()
         elem = (cta * warps_per_cta + warp) * WARP_SIZE
         idx = b.iconst()  # global thread index
         addr = b.alu(idx)  # base + 4 * idx
@@ -37,6 +37,6 @@ def build(scale: str = "small", threads_per_cta: int = THREADS_PER_CTA) -> Kerne
         c = b.load_global(coalesced(_B, elem), addr)
         s = b.alu(a, c)
         b.store_global(coalesced(_C, elem), addr, s)
-        return b.finish()
+        return b
 
     return build_kernel_trace(NAME, launch, warp_fn, target_regs=TARGET_REGS)

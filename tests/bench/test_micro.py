@@ -2,7 +2,7 @@
 
 import json
 
-from repro.bench.micro import bench_cache, bench_coalescer, run_micro
+from repro.bench.micro import bench_cache, bench_coalescer, bench_trace, run_micro
 from repro.bench.report import make_payload, validate_payload
 
 
@@ -13,6 +13,13 @@ def test_component_benches_report_deterministic_meta():
     (cache_entry,) = bench_cache("tiny", repeats=1)
     assert cache_entry.meta["reads"] > 0
     assert 0 < cache_entry.meta["read_hits"] < cache_entry.meta["reads"]
+
+
+def test_trace_benches_agree_on_meta():
+    build, load = bench_trace("tiny", repeats=1)
+    assert (build.id, load.id) == ("micro.trace.build", "micro.trace.load")
+    assert build.meta["warp_ops"] > 0
+    assert build.meta == load.meta
 
 
 def test_run_micro_payload_validates():

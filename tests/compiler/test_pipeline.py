@@ -240,6 +240,27 @@ class TestShapeLevelCompile:
             assert len(live_calls) == len(shapes)
         assert not built
 
+    def test_summaries_never_regroup_warps(self, monkeypatch):
+        # Shape numbers come with the trace: compile derives a register
+        # shape from each shape's first warp only, never from every warp.
+        rn = Runner("tiny")
+        traces = {name: rn.trace(name) for name in TABLE1}
+        seen = []
+        shape_of = pipeline.register_shape
+
+        def spying_shape(ops):
+            seen.append(ops)
+            return shape_of(ops)
+
+        monkeypatch.setattr(pipeline, "register_shape", spying_shape)
+        for name, trace in traces.items():
+            nospill = rn.summary(name)
+            rn.summary(name, _spill_regs(nospill.max_live))
+            firsts = {id(w) for w in trace.shape_warps}
+            assert len(seen) == 2 * len(firsts), name
+            assert all(id(ops) in firsts for ops in seen), name
+            seen.clear()
+
 
 class TestSlotLayout:
     def test_slot_stride_constant(self):

@@ -30,6 +30,16 @@ class TestRoundTrip:
         assert _traces_equal(trace, loaded)
         assert loaded.total_ops == trace.total_ops
 
+    def test_decoded_fields_are_python_ints(self, tmp_path):
+        trace = get_benchmark("needle").build("tiny")
+        path = tmp_path / "needle.npz"
+        save_trace(trace, path)
+        for op in load_trace(path).iter_ops():
+            fields = [op.active, *op.srcs, *(op.addrs or ())]
+            if op.dst is not None:
+                fields.append(op.dst)
+            assert all(type(x) is int for x in fields), op
+
     def test_loaded_trace_simulates_identically(self, tmp_path):
         from repro.compiler import compile_kernel
         from repro.core import partitioned_baseline

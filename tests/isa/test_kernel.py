@@ -3,7 +3,11 @@
 import pytest
 
 from repro.isa import CTATrace, KernelInfo, KernelTrace, LaunchConfig, OpClass, WarpBuilder
+from repro.isa.io import load_trace, save_trace
+from repro.isa.kernel import register_shape
 from repro.isa.trace import WARP_SIZE
+from repro.kernels import get_benchmark
+from repro.kernels.irregular import get_irregular
 
 
 def _warp(n_alu=3, barriers=0):
@@ -85,3 +89,39 @@ class TestKernelTrace:
         ops = list(t.iter_ops())
         assert len(ops) == t.total_ops
         assert all(op.op is OpClass.ALU for op in ops)
+
+
+def _fresh_grouping(trace):
+    """Each warp's shape number and the first warp of each shape, recomputed."""
+    numbers, ids, firsts = {}, [], []
+    for cta in trace.ctas:
+        for w in cta.warps:
+            key = register_shape(w)
+            if key not in numbers:
+                numbers[key] = len(numbers)
+                firsts.append(w)
+            ids.append(numbers[key])
+    return ids, firsts
+
+
+class TestShapeNumbers:
+    @pytest.mark.parametrize("source", ["built", "emulated", "loaded"])
+    def test_carried_numbers_equal_a_fresh_grouping(self, source, tmp_path):
+        if source == "emulated":
+            trace = get_irregular("collatz").build("tiny")
+        else:
+            trace = get_benchmark("needle").build("tiny")
+        if source == "loaded":
+            save_trace(trace, tmp_path / "t.npz")
+            trace = load_trace(tmp_path / "t.npz")
+        ids, firsts = _fresh_grouping(trace)
+        assert trace.shape_ids == ids
+        assert len(trace.shape_warps) == len(firsts)
+        assert all(a is b for a, b in zip(trace.shape_warps, firsts))
+
+    def test_numbers_follow_first_appearance(self):
+        lc = LaunchConfig(threads_per_cta=2 * WARP_SIZE, num_ctas=2)
+        a, b = _warp(3), _warp(5)
+        trace = KernelTrace("k", lc, [CTATrace([a, b]), CTATrace([_warp(5), _warp(3)])])
+        assert trace.shape_ids == [0, 1, 1, 0]
+        assert trace.shape_warps[0] is a and trace.shape_warps[1] is b

@@ -11,6 +11,16 @@ class TestWarpOpValidation:
         with pytest.raises(ValueError, match="requires per-thread addresses"):
             WarpOp(OpClass.LOAD_GLOBAL, dst=0)
 
+    def test_op_must_be_an_op_class(self):
+        with pytest.raises(ValueError, match="OpClass"):
+            WarpOp("alu", dst=0)
+
+    def test_negative_dst_rejected(self):
+        # The trace file stores dst + 1 with 0 for "none", so a negative
+        # dst would come back from the disk cache as a different op.
+        with pytest.raises(ValueError, match="dst"):
+            WarpOp(OpClass.ALU, dst=-1)
+
     def test_address_count_must_match_active(self):
         with pytest.raises(ValueError, match="addresses for"):
             WarpOp(OpClass.LOAD_GLOBAL, dst=0, addrs=(0, 4), active=3)
