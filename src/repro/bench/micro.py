@@ -1,8 +1,8 @@
 """Deterministic microbenchmarks of the simulator's component models.
 
 Each benchmark exercises one hot path -- the bank-conflict models, the
-coalescer, the data cache, trace generation and loading, or a full
-:func:`repro.sm.simulate` call --
+coalescer, the data cache, trace generation and loading, columnar
+lowering, or a full :func:`repro.sm.simulate` call --
 on a fixed synthetic or compiled workload, so timing differences between
 two revisions reflect code changes, not input drift.  The returned
 metadata pins deterministic facts (op counts, simulated cycles) that
@@ -18,8 +18,9 @@ from repro.bench.report import BenchEntry, timed
 #: budget, and one irregular/divergent.
 SIM_KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 
-#: Kernels covered by the trace-layer benchmarks: a padded partial-warp
-#: wavefront, a divergent graph walk, and a register-blocked GEMM.
+#: Kernels covered by the trace-layer and lowering benchmarks: a padded
+#: partial-warp wavefront, a divergent graph walk, and a register-blocked
+#: GEMM.
 TRACE_KERNELS = ("needle", "bfs", "dgemm")
 
 #: Iterations chosen so each micro entry runs for tens of milliseconds.
@@ -188,6 +189,55 @@ def bench_trace(scale: str, repeats: int) -> list[BenchEntry]:
     return [build_entry, load_entry]
 
 
+def bench_lower(scale: str, repeats: int) -> list[BenchEntry]:
+    """Time columnar lowering of every CTA, separate from replay.
+
+    The kernels compile untimed.  Each repeat drops their lowering
+    caches and lowers them again: shape lowerings and warp signatures
+    (``_sig_table``), then every CTA's programs against the baseline
+    bank model at shared base 0 (``cta_plan``).  Interned plans outlive
+    a kernel, so they are built by the first repeat only; ``runs``
+    keeps that cold time visible.
+    """
+    from repro.compiler.columnar import _sig_table, cta_plan
+    from repro.core import partitioned_baseline
+    from repro.experiments.runner import Runner
+    from repro.memory.banks import make_bank_model
+
+    rn = Runner(scale)
+    cfg = rn.config
+    line_bytes = cfg.cache_line_bytes
+    kernels = [rn.compiled(name) for name in TRACE_KERNELS]
+    banks = make_bank_model(partitioned_baseline())
+    # Dropped caches stay referenced until timing ends, so freeing them
+    # is not timed.
+    dropped: list[dict] = []
+
+    def plan_all(ck):
+        return [cta_plan(ck, banks, 0, cfg, True, ci)[0] for ci in range(len(ck.ctas))]
+
+    def lower():
+        for ck in kernels:
+            dropped.append(ck._plan_cache)
+            ck._plan_cache = {}
+            _sig_table(ck, line_bytes)
+            plan_all(ck)
+
+    entry = timed("micro.lower", lower, repeats)
+    dropped.clear()
+    programs = {id(p): p for ck in kernels for progs in plan_all(ck) for p in progs}
+    entry.meta.update(
+        warps=sum(len(cta.warps) for ck in kernels for cta in ck.ctas),
+        shapes=len({id(p.shape) for p in programs.values()}),
+        signatures=sum(
+            len({id(sig) for row in _sig_table(ck, line_bytes) for sig in row})
+            for ck in kernels
+        ),
+        programs=len(programs),
+    )
+    return [entry]
+
+
 def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
     """Time full ``simulate()`` calls per kernel under two designs.
 
@@ -263,5 +313,6 @@ def run_micro(scale: str, repeats: int) -> list[BenchEntry]:
     entries += bench_cache(scale, repeats)
     entries += bench_banks(scale, repeats)
     entries += bench_trace(scale, repeats)
+    entries += bench_lower(scale, repeats)
     entries += bench_simulate(scale, repeats)
     return entries

@@ -1,46 +1,53 @@
-"""Columnar lowering of kernel plans for the replay engine.
+"""Columnar lowering of compiled kernels for the replay engine.
 
-The second compile phase behind :mod:`repro.compiler.precompute`: where
-the planning pass turns each op into an interned :class:`OpPlan`, this
-pass lowers each *warp* -- a sequence of (op, plan) pairs -- into
-contiguous numpy columns the replay core (:mod:`repro.sm.replay`) steps
-without touching Python object graphs:
+Lowering turns a :class:`~repro.compiler.compiled.CompiledKernel` into
+the flat row programs the replay core (:mod:`repro.sm.replay`) steps
+without touching Python object graphs.  It reads register shapes
+(:mod:`repro.compiler.pipeline`) and each warp's trace addresses, never
+per-op :class:`~repro.compiler.compiled.CompiledOp` records, at three
+levels:
 
-* **Signatures** (:class:`WarpSig`) hold the partition-independent
-  shape of a warp: the static last-writer RAW dependency graph (which
-  replaces the event engine's per-warp ``pending`` dict) and the
-  register-file traffic totals.  Warps with identical (plan, operand)
-  streams share one signature; plans for global-memory ops embed
-  per-CTA addresses, so address-touching warps rarely intern across
-  CTAs and the constructor is kept allocation-lean.
+* **Shapes** (:class:`ShapeLowering`, once per register shape of a
+  kernel) hold everything the shape alone decides: the static
+  last-writer RAW dependency graph (which replaces the reference loop's
+  per-warp ``pending`` dict), the register-file traffic totals, the
+  plans of the non-memory ops, where each memory op finds its
+  addresses, per latency config a row template with every ALU/SFU/TEX
+  and barrier row built, and the columns instrumented replay reads.
+* **Warp signatures** are the pair (shape lowering, tuple of
+  memory-op plans), interned.  A warp's own lowering is planning its
+  memory ops from its addresses -- the trace op's, or the spill-slot
+  formula's for fills and spills -- through
+  :func:`~repro.compiler.precompute.intern_plan`, so warps of one shape
+  whose addresses coincide share one signature.
 * **Programs** (:class:`WarpProgram`) specialise a signature to a bank
-  model, CTA shared-memory base, and latency config: per-op issue and
-  completion increments, bank-conflict penalties, coalesced line
-  segments and DRAM burst sizes as aligned columns, plus one tuple of
-  *static totals* -- every additive counter of the event engine
+  model, CTA shared-memory base, and latency config: a copy of the
+  shape's row template with the memory rows filled in (bank-conflict
+  penalties, coalesced line segments, DRAM burst sizes), plus one tuple
+  of *static totals* -- every additive counter of the reference loop
   (instructions, conflict cycles, histogram buckets, arbitration
-  conflicts, RF/row/tag energy events) summed over the warp at compile
+  conflicts, RF/row/tag energy events) summed over the warp at lowering
   time and added once at CTA spawn instead of once per op.
 
 Static totals are sound because each of those counters is
 order-independent and a pure function of the warp's plans plus the
 bank-model memo key (the same argument that makes the ``planned_*``
 memos exact, see :mod:`repro.memory.banks`); the dependency graph is
-sound because the event engine's ``pending`` dict maps each register to
-its *last* writer's completion, which is exactly the static last-writer
-analysis here (writes drain in program order, so WAW is safe to
-collapse).  Barrier ops contribute to the instruction count but to no
-other counter -- the event loop ``continue``s past the accounting lines
-for them -- and their source registers still take dependency edges
-(the event path reads ``pending`` when re-keying a released warp).
+sound because the reference loop's ``pending`` dict maps each register
+to its *last* writer's completion, which is exactly the static
+last-writer analysis here (writes drain in program order, so WAW is
+safe to collapse).  Barrier ops contribute to the instruction count but
+to no other counter -- the reference loop ``continue``s past the
+accounting lines for them -- and their source registers still take
+dependency edges (the reference loop reads ``pending`` when re-keying a
+released warp).
 
 Cycle identity of everything built here is pinned end to end by the
-golden fixtures and ``tests/sm/test_engine_equivalence.py``.
+golden fixtures and ``tests/sm/test_engine_equivalence.py``, whose
+``@spill`` arms cover fills and spills.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.compiler.compiled import CompiledKernel
 from repro.compiler.precompute import (
@@ -48,9 +55,10 @@ from repro.compiler.precompute import (
     K_GLOBAL_LOAD,
     K_SHARED_LOAD,
     K_SHARED_STORE,
-    K_TEX,
-    plan_kernel,
+    intern_plan,
 )
+from repro.compiler.regalloc import Rewrite
+from repro.isa.opcodes import OpClass
 from repro.obs.collector import CAUSE_MEMORY, CAUSE_RAW, STALL_CAUSES
 
 # Integer cause indices into STALL_CAUSES: the instrumented replay loops
@@ -92,153 +100,212 @@ _TOTAL_FIELDS = (
 N_TOTALS = len(_TOTAL_FIELDS)
 
 
-class WarpSig:
-    """Partition-independent columnar signature of one compiled warp.
+#: The row after a warp's last op (shared by every program).
+_END_ROW = (R_END, 0.0, 0.0, None, None)
+
+
+class ShapeLowering:
+    """Everything replay needs from one register shape of a kernel.
+
+    Built once per :class:`~repro.compiler.pipeline._ShapeCompilation`
+    and cached on the kernel (the compilation itself is shared by every
+    warp of the shape and never mutated).
 
     Attributes:
-        ops: Representative :class:`CompiledOp` list (first warp that
-            interned to this signature; equal-keyed warps are
-            timing-identical by construction).
-        plans: Aligned :class:`OpPlan` list.
+        arch_shape: The compilation's ``(op class, dst, srcs)`` per op.
         n_ops: Instruction count.
         deps: RAW dependency graph as a tuple of per-op producer
             tuples -- ``deps[pc]`` are the pcs whose completion gates
             issue of ``pc`` (the last writer of each source register).
-        live: Whether each op's completion time is ever read by a
-            consumer (dead completions need no bookkeeping).
         rf_totals: ``(mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w)``
             summed over non-barrier ops.
-        obs: Lazily built observability columns (see
-            :func:`sig_obs_rows`); ``None`` until an instrumented
-            replay first touches the signature, so uninstrumented
-            compiles pay one slot assignment.
-
-    The constructor is a cold-start hot spot: signatures rarely intern
-    across CTAs (global-address plans embed per-CTA addresses), so a
-    grid of W warps builds ~W of these.  Everything is derived in one
-    plain-Python pass -- per-warp numpy arrays at these lengths (tens
-    of ops) cost more to construct than they save, so the numpy column
-    set lives on :class:`WarpProgram` only.
+        plans: The interned plan of each non-memory op; ``None`` at
+            memory ops, whose plans depend on the warp's addresses.
+        mem: One ``(pc, op class, mrf_reads, n_mrf_writes, index,
+            slot)`` per memory op.  ``index`` is the trace op that
+            supplies its addresses, or for a fill or spill (``slot >=
+            0``) its active-lane count.
+        templates: Row templates by ``(alu, sfu, tex)`` latency (see
+            :meth:`template`).
+        obs: Observability columns (see :meth:`obs_rows`); ``None``
+            until an instrumented replay first asks.
     """
 
-    __slots__ = ("ops", "plans", "n_ops", "deps", "live", "rf_totals", "obs")
+    __slots__ = (
+        "arch_shape", "n_ops", "deps", "rf_totals", "plans", "mem", "templates", "obs",
+    )
 
-    def __init__(self, ops, plans) -> None:
-        self.ops = ops
-        self.plans = plans
-        n = len(ops)
+    def __init__(self, comp, line_bytes: int) -> None:
+        self.arch_shape = comp.arch_shape
+        n = len(comp.entries)
         self.n_ops = n
-        # Last-writer RAW analysis: the event engine's pending dict
+        # Last-writer RAW analysis: the reference loop's pending dict
         # resolves each source register to the completion of its most
         # recent producer; writes retire in program order, so the
         # static last-writer map is exact.  RF traffic is accumulated
-        # per op by the event engine but never consumed mid-run, so the
-        # warp-total is added at spawn instead; barriers are skipped
-        # because the event loop continues before the accounting lines.
+        # per op by the reference loop but never consumed mid-run, so
+        # the warp total is added at spawn instead; barriers are skipped
+        # because the reference loop continues before the accounting.
         last_writer: dict[int, int] = {}
         deps: list[tuple[int, ...]] = []
-        live = [False] * n
+        plans: list = [None] * n
+        mem = []
         mrf_r = mrf_w = orf_r = orf_w = lrf_r = lrf_w = 0
-        for pc, (op, pl) in enumerate(zip(ops, plans)):
+        for pc, (entry, (op_class, dst, srcs), tag) in enumerate(
+            zip(comp.entries, comp.arch_shape, comp.tags)
+        ):
             d: dict[int, None] = {}
-            for r in op.srcs:
+            for r in srcs:
                 p = last_writer.get(r)
                 if p is not None:
                     d[p] = None
-            dep = tuple(d)
-            deps.append(dep)
-            for p in dep:
-                live[p] = True
-            if op.dst is not None:
-                last_writer[op.dst] = pc
-            if pl.kind != K_BARRIER:
-                mrf_r += pl.n_mrf_reads
-                mrf_w += pl.n_mrf_writes
-                orf_r += op.orf_reads
-                orf_w += op.orf_writes
-                lrf_r += op.lrf_reads
-                lrf_w += op.lrf_writes
-        self.deps = tuple(deps)
-        self.live = live
-        self.rf_totals = (mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w)
-        self.obs = None
-
-
-def sig_obs_rows(sig: WarpSig) -> tuple:
-    """Per-op observability columns for the instrumented replay loops.
-
-    Returns ``(rows, causes)``, both aligned with
-    :attr:`WarpProgram.rows` (plus a sentinel under the ``R_END`` row so
-    both share a pc).  Each row is ``(name, prods, dst)``: the
-    instruction name for trace slices, the *producer pcs* of the op's
-    source registers, and the destination register.  ``prods`` is the
-    static last-writer relation evaluated in source-operand order --
-    exactly the registers the collector's ``issue`` hook would find in
-    its pending dict, resolved at compile time so the replay runner can
-    attribute a dependency wait with list lookups into the per-warp
-    completion column instead of per-op dict traffic.  Scan equivalence
-    with ``Collector.issue`` holds because warps replay in program
-    order (every producer pc has executed by the time a consumer reads
-    it) and ties keep the first maximum in operand order in both forms.
-
-    ``causes`` is the static writeback cause per op as an *index into*
-    ``STALL_CAUSES``: texture fetches always resolve in DRAM
-    (``CAUSE_MEMORY``), every other statically-known producer is
-    core-local (``CAUSE_RAW``).  Dynamic causes stay with the replay
-    runner: cached global loads escalate to ``CAUSE_MEMORY`` on a miss
-    or MSHR merge, uncached loads unconditionally, exactly as the event
-    engine decides them.  Barriers take the literal name the event
-    engine reports.
-
-    Both sequences are static and shared across every warp of the
-    signature.
-
-    Built lazily and cached on the signature: only instrumented replays
-    pay for it, and partition sweeps over one kernel reuse the rows
-    (names, operands, and causes are partition-independent).
-    """
-    cached = sig.obs
-    if cached is None:
-        rows = []
-        causes = []
-        last_writer: dict = {}
-        for pc, (op, pl) in enumerate(zip(sig.ops, sig.plans)):
-            barrier = pl.kind == K_BARRIER
-            # Producers are looked up before this op's own write lands,
-            # mirroring the event order (issue reads pending, then
-            # writeback overwrites it); duplicate sources keep their
-            # duplicate producer entries -- a strict-maximum scan makes
-            # the repeat a no-op, as it is in the dict form.
-            prods = tuple(
-                last_writer[r] for r in op.srcs if r in last_writer
-            )
-            # Barrier rows drop the dst: the event loop continues past
-            # its writeback lines, so a barrier never registers a
-            # pending write whatever the op object carries.
-            dst = None if barrier else op.dst
-            rows.append(("BARRIER" if barrier else op.op.name, prods, dst))
-            causes.append(CI_MEMORY if pl.kind == K_TEX else CI_RAW)
+            deps.append(tuple(d))
             if dst is not None:
                 last_writer[dst] = pc
-        rows.append((None, (), None))
-        causes.append(CI_RAW)
-        cached = (rows, causes)
-        sig.obs = cached
-    return cached
+            n_mrf_writes = 1 if (tag.mrf_write and dst is not None) else 0
+            if op_class.is_memory:
+                if isinstance(entry, Rewrite):
+                    mem.append((pc, op_class, tag.mrf_reads, n_mrf_writes, entry.index, -1))
+                else:  # Fill / Spill
+                    mem.append(
+                        (pc, op_class, tag.mrf_reads, n_mrf_writes, entry.at, entry.slot)
+                    )
+            else:
+                # Raises for an op class the simulator cannot time.
+                pl = plans[pc] = intern_plan(
+                    op_class, tag.mrf_reads, n_mrf_writes, None, line_bytes
+                )
+                if pl.kind == K_BARRIER:
+                    continue
+            mrf_r += len(tag.mrf_reads)
+            mrf_w += n_mrf_writes
+            orf_r += tag.orf_reads
+            orf_w += 1 if tag.orf_write else 0
+            lrf_r += tag.lrf_reads
+            lrf_w += 1 if tag.lrf_write else 0
+        self.deps = tuple(deps)
+        self.rf_totals = (mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w)
+        self.plans = plans
+        self.mem = tuple(mem)
+        self.templates: dict[tuple, tuple] = {}
+        self.obs = None
+
+    def warp_plans(self, warp, line_bytes: int) -> tuple:
+        """The interned plans of one warp's memory ops, in ``mem`` order."""
+        ops = warp.trace_ops
+        local_base = warp.local_base
+        spill_addrs = warp.shape.spill_addrs
+        return tuple([
+            intern_plan(
+                op_class, mrf_reads, n_mrf_writes,
+                ops[index].addrs if slot < 0
+                else spill_addrs(local_base, slot, ops[index].active),
+                line_bytes,
+            )
+            for _, op_class, mrf_reads, n_mrf_writes, index, slot in self.mem
+        ])
+
+    def template(self, lat: tuple[int, int, int]) -> tuple[list, int, tuple]:
+        """Rows every program of this shape shares, for one latency triple.
+
+        Returns ``(rows, conflict, hist)``: ALU/SFU/TEX and barrier rows
+        built, memory rows ``None`` (each program fills its own), the
+        ``R_END`` row appended; and the non-memory ops' conflict cycles
+        and histogram buckets.
+        """
+        t = self.templates.get(lat)
+        if t is None:
+            deps = self.deps
+            rows: list = [None] * self.n_ops
+            conflict = 0
+            hist = [0, 0, 0, 0, 0]
+            for pc, pl in enumerate(self.plans):
+                if pl is None:
+                    continue
+                k = pl.kind
+                if k == K_BARRIER:
+                    rows[pc] = (R_BARRIER, 0.0, 0.0, None, deps[pc])
+                else:  # ALU / SFU / TEX
+                    a = 1 + pl.reg_penalty
+                    rows[pc] = (R_ALU, float(a), float(a + lat[k]), None, deps[pc])
+                    conflict += pl.reg_penalty
+                    hist[pl.reg_bucket] += 1
+            rows.append(_END_ROW)
+            t = self.templates[lat] = (rows, conflict, tuple(hist))
+        return t
+
+    def obs_rows(self) -> tuple:
+        """Per-op observability columns for the instrumented replay loops.
+
+        Returns ``(rows, causes)``, both aligned with
+        :attr:`WarpProgram.rows` (plus a sentinel under the ``R_END``
+        row so both share a pc).  Each row is ``(name, prods, dst)``:
+        the instruction name for trace slices, the *producer pcs* of the
+        op's source registers, and the destination register.  ``prods``
+        is the static last-writer relation evaluated in source-operand
+        order -- exactly the registers the collector's ``issue`` hook
+        would find in its pending dict, resolved at lowering time so the
+        replay runner can attribute a dependency wait with list lookups
+        into the per-warp completion column instead of per-op dict
+        traffic.  Scan equivalence with ``Collector.issue`` holds
+        because warps replay in program order (every producer pc has
+        executed by the time a consumer reads it) and ties keep the
+        first maximum in operand order in both forms.
+
+        ``causes`` is the static writeback cause per op as an *index
+        into* ``STALL_CAUSES``: texture fetches always resolve in DRAM
+        (``CAUSE_MEMORY``), every other statically-known producer is
+        core-local (``CAUSE_RAW``).  Dynamic causes stay with the replay
+        runner: cached global loads escalate to ``CAUSE_MEMORY`` on a
+        miss or MSHR merge, uncached loads unconditionally, exactly as
+        the reference loop decides them.  Barriers take the literal
+        name the reference loop reports.
+
+        Names, operands and causes are shape facts, so this is built
+        once per shape, on the first instrumented replay that asks.
+        """
+        cached = self.obs
+        if cached is None:
+            rows = []
+            causes = []
+            last_writer: dict = {}
+            for pc, (op_class, dst, srcs) in enumerate(self.arch_shape):
+                barrier = op_class is OpClass.BARRIER
+                # Producers are looked up before this op's own write
+                # lands, mirroring the event order (issue reads pending,
+                # then writeback overwrites it); duplicate sources keep
+                # their duplicate producer entries -- a strict-maximum
+                # scan makes the repeat a no-op, as it is in the dict
+                # form.
+                prods = tuple(last_writer[r] for r in srcs if r in last_writer)
+                # Barrier rows drop the dst: the reference loop continues
+                # past its writeback lines, so a barrier never registers
+                # a pending write whatever the op carries.
+                if barrier:
+                    dst = None
+                rows.append(("BARRIER" if barrier else op_class.name, prods, dst))
+                causes.append(CI_MEMORY if op_class is OpClass.TEX else CI_RAW)
+                if dst is not None:
+                    last_writer[dst] = pc
+            rows.append((None, (), None))
+            causes.append(CI_RAW)
+            cached = self.obs = (rows, causes)
+        return cached
 
 
 class WarpProgram:
-    """A :class:`WarpSig` specialised to one bank model and config.
+    """A warp signature specialised to one bank model and config.
 
-    The canonical compile product is the numpy column set
-    (``kind_np`` / ``a_np`` / ``b_np``, one array per column per
-    program); ``rows`` fuses the same data with the signature's dep
-    tuples into the plain-sequence form the replay interpreter indexes
-    (CPython indexes lists/tuples faster than 0-d numpy scalars).
+    ``rows`` holds one ``(kind, a, b, aux, deps)`` record per op,
+    terminated by an :data:`R_END` sentinel -- the interpreter's view
+    (one index + unpack per op).  ``deps`` on row ``i`` are op ``i``'s
+    own RAW producers, consumed when *scheduling* the op; the end row's
+    deps slot is ``None`` (every real op carries a tuple), so the replay
+    loops detect retirement on the field they already loaded.
 
-    Column meaning by replay kind.  Constant adds the event loop does
-    per op (latency, the one-cycle memory-pipeline hold) are folded in
-    at compile time, so the interpreter performs one addition per
+    Column meaning by replay kind.  Constant adds the reference loop
+    does per op (latency, the one-cycle memory-pipeline hold) are folded
+    in at lowering time, so the interpreter performs one addition per
     derived quantity.  ALU columns are offsets from issue time ``t``;
     memory columns are offsets from the op's memory-port grant
     ``port_start``:
@@ -253,10 +320,13 @@ class WarpProgram:
     R_BARRIER                0                         0
     ======================== ========================= =====================
 
-    Folding is exact: penalties and latencies are integers, and adding
-    an integer to any timestamp the simulation can produce is an exact
-    float operation, so ``port_start + (penalty + lat)`` is bit-equal
-    to the event engine's ``(port_start + penalty) + lat``.
+    ``a`` and ``b`` are floats: CPython's specialised float+float add
+    is ~2x the generic float+int path, and every hot-loop use adds them
+    to a float timestamp.  Folding is exact: penalties and latencies are
+    integers, and adding an integer to any timestamp the simulation can
+    produce is an exact float operation, so ``port_start + (penalty +
+    lat)`` is bit-equal to the reference loop's ``(port_start +
+    penalty) + lat``.
 
     ``aux`` rows: cached loads carry ``(segments, line_indices)`` -- the
     coalesced line-segment tuple plus each segment's precomputed cache
@@ -265,209 +335,157 @@ class WarpProgram:
     stores ``(segments, line_indices, burst_bytes)`` with per-line
     write-through burst sizes.
 
-    ``rows`` fuses the columns into one ``(kind, a, b, aux, deps)``
-    record per op, terminated by an :data:`R_END` sentinel -- the
-    interpreter's view (one index + unpack per op instead of five
-    column indexes and a bounds check).  ``deps`` on row ``i`` are op
-    ``i``'s own RAW producers, consumed when *scheduling* the op.
+    Non-memory rows are the shape's template rows, shared by every
+    program of the shape; only memory rows are built per program.
     """
 
-    __slots__ = (
-        "sig", "n_ops", "kind_np", "a_np", "b_np",
-        "rows", "totals",
-    )
+    __slots__ = ("shape", "n_ops", "rows", "totals")
 
-    def __init__(self, sig: WarpSig, kind, a, b, aux, totals) -> None:
-        self.sig = sig
-        self.n_ops = sig.n_ops
-        self.kind_np = np.asarray(kind, dtype=np.int8)
-        self.a_np = np.asarray(a, dtype=np.int64)
-        self.b_np = np.asarray(b, dtype=np.int64)
-        # Rows carry a/b as floats: CPython's specialised float+float
-        # add is ~2x the generic float+int path, and every hot-loop use
-        # adds them to a float timestamp.  Conversion of an integer is
-        # exact, so timing is unchanged bit for bit.
-        # The end row's deps slot is None (every real op carries a
-        # tuple): the replay loops detect retirement on the deps field
-        # they already loaded instead of re-testing the kind.
-        self.rows = [
-            *zip(kind, map(float, a), map(float, b), aux, sig.deps),
-            (R_END, 0.0, 0.0, None, None),
-        ]
+    def __init__(self, shape: ShapeLowering, rows: list, totals: tuple) -> None:
+        self.shape = shape
+        self.n_ops = shape.n_ops
+        self.rows = rows
         self.totals = totals
 
 
-def _sig_table(kernel: CompiledKernel, line_bytes: int) -> list[tuple[WarpSig, ...]]:
+def _sig_table(kernel: CompiledKernel, line_bytes: int) -> list[tuple[tuple, ...]]:
     """Signatures for every warp, interned and cached on the kernel.
 
-    Both levels intern: warps with equal timing keys share one
-    :class:`WarpSig`, and CTAs with equal signature rows share one
-    tuple object -- :func:`cta_plan` keys whole-CTA program lookups on
-    that row identity, so a grid of identical CTAs resolves every
-    spawn through a single cache entry.
+    Each register shape is lowered once (:class:`ShapeLowering`, cached
+    under ``("colshape", line_bytes)``); each warp then plans only its
+    memory ops.  Two levels intern: warps with equal (shape,
+    memory plans) share one signature, and CTAs with equal signature
+    rows share one tuple object -- :func:`cta_plan` keys whole-CTA
+    program lookups on that row identity, so a grid of identical CTAs
+    resolves every spawn through a single cache entry.
     """
     cache = kernel._plan_cache
     key = ("colsig", line_bytes)
     table = cache.get(key)
     if table is not None:
         return table
-    plans_k = plan_kernel(kernel, line_bytes)
-    interned: dict[tuple, WarpSig] = {}
+    shapes: dict[int, ShapeLowering] = {}
+    cache[("colshape", line_bytes)] = shapes
+    sigs: dict[tuple, tuple] = {}
     rows_interned: dict[tuple, tuple] = {}
     table = []
-    for ci, cta in enumerate(kernel.ctas):
+    for cta in kernel.ctas:
         row = []
-        for wi, warp in enumerate(cta.warps):
-            plans = plans_k[ci][wi]
-            ops = warp.ops
-            # Plans intern on (kind, mrf_reads, mrf_write count, addrs);
-            # everything else a signature depends on is keyed here.
-            sig_key = tuple(
-                (id(pl), op.dst, op.srcs,
-                 op.lrf_reads, op.orf_reads, op.lrf_writes, op.orf_writes)
-                for pl, op in zip(plans, ops)
-            )
-            sig = interned.get(sig_key)
-            if sig is None:
-                sig = interned[sig_key] = WarpSig(ops, plans)
-            row.append(sig)
+        for warp in cta.warps:
+            low = shapes.get(id(warp.shape))
+            if low is None:
+                low = shapes[id(warp.shape)] = ShapeLowering(warp.shape, line_bytes)
+            sig = (low, low.warp_plans(warp, line_bytes))
+            row.append(sigs.setdefault(sig, sig))
         row = tuple(row)
         table.append(rows_interned.setdefault(row, row))
     cache[key] = table
     return table
 
 
-def _skeleton(sig, cfg, cache_enabled):
-    """Bank-independent part of a program, built once per (sig, cfg).
+def _mem_skeleton(sig: tuple, cfg, cache_enabled: bool) -> tuple:
+    """Bank-independent part of a signature's memory rows, per config.
 
-    Capacity sweeps re-lower every signature per partition, but only
-    memory ops depend on the bank model: ALU rows (kind, issue and
-    completion offsets, conflict contribution) and every ``aux`` payload
-    (line segments, cache line indices, sector counts, burst sizes) are
-    pure functions of the plans and the latency config.  The skeleton
-    precomputes all of that plus the ALU-only totals, so the per-bank
-    :func:`_build_program` pass touches memory ops alone.
-
-    Returns ``(kind, a, b, aux, mem, conflict, hist, tags)`` where
-    ``mem`` is the ``(pc, op, plan, plan_kind)`` list of memory ops
-    whose ``a``/``b`` slots are left 0 for the patch pass, ``conflict``
-    and ``hist`` carry the ALU contributions, and ``tags`` the (static)
-    tag-port lookup count.
+    Capacity sweeps re-lower every signature per partition, but of a
+    memory row only the penalties and row counts depend on the bank
+    model: its replay kind and ``aux`` payload (line segments, cache
+    line indices, sector counts, burst sizes) are pure functions of the
+    plan and the config.  Returns ``(mem, tags)``: one ``(pc, plan,
+    plan kind, replay kind, aux, deps)`` per memory op, and the
+    (static) tag-port lookup count.
     """
+    low, plans = sig
     line_bytes = cfg.cache_line_bytes
     txn_bytes = cfg.dram_transaction_bytes
-    lat_by_kind = (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
-    n = sig.n_ops
-    kind = [0] * n
-    a = [0] * n
-    b = [0] * n
-    aux: list = [None] * n
+    deps = low.deps
     mem = []
-    # Scalar accumulators, not per-op columns: the totals tuple only
-    # needs the sums, and n is tens of ops -- small-array numpy round
-    # trips (zeros / bincount / masked sum) dominate at that size.
-    conflict = 0
-    hist = [0, 0, 0, 0, 0]
     tags = 0
-    for pc, (op, pl) in enumerate(zip(sig.ops, sig.plans)):
+    for m, pl in zip(low.mem, plans):
+        pc = m[0]
         k = pl.kind
-        if k <= 2:  # ALU / SFU / TEX
-            kind[pc] = R_ALU
-            a[pc] = 1 + pl.reg_penalty
-            b[pc] = a[pc] + lat_by_kind[k]
-            conflict += pl.reg_penalty
-            hist[pl.reg_bucket] += 1
-        elif k == K_BARRIER:
-            kind[pc] = R_BARRIER
-        elif k <= K_SHARED_STORE:
-            kind[pc] = R_SHARED
-            mem.append((pc, op, pl, k))
+        aux = None
+        if k <= K_SHARED_STORE:
+            rkind = R_SHARED
         else:  # global / local
-            mem.append((pc, op, pl, k))
             if cache_enabled:
                 tags += pl.n_segments
             if k == K_GLOBAL_LOAD:
                 if cache_enabled:
-                    kind[pc] = R_GLOBAL_LOAD
-                    aux[pc] = (
-                        pl.segments,
-                        tuple(s // line_bytes for s in pl.segments),
-                    )
+                    rkind = R_GLOBAL_LOAD
+                    aux = (pl.segments, tuple(s // line_bytes for s in pl.segments))
                 else:
-                    kind[pc] = R_GLOBAL_LOAD_NOCACHE
-                    ns = pl.n_sectors
-                    if ns < 0:
-                        ns = pl.sector_info(op.addrs, line_bytes)[0]
-                    aux[pc] = ns
-            else:  # K_GLOBAL_STORE
-                if cache_enabled:
-                    kind[pc] = R_GLOBAL_STORE
-                    pls = pl.per_line_sectors
-                    if pls is None:
-                        pls = pl.sector_info(op.addrs, line_bytes)[1]
-                    aux[pc] = (
-                        pl.segments,
-                        tuple(s // line_bytes for s in pl.segments),
-                        tuple(ns * txn_bytes for ns in pls),
-                    )
-                else:
-                    kind[pc] = R_GLOBAL_STORE_NOCACHE
-                    ns = pl.n_sectors
-                    if ns < 0:
-                        ns = pl.sector_info(op.addrs, line_bytes)[0]
-                    aux[pc] = ns
-    return kind, a, b, aux, tuple(mem), conflict, tuple(hist), tags
+                    rkind = R_GLOBAL_LOAD_NOCACHE
+                    aux = pl.n_sectors
+                    if aux < 0:
+                        aux = pl.sector_info(pl.addrs, line_bytes)[0]
+            elif cache_enabled:  # K_GLOBAL_STORE
+                rkind = R_GLOBAL_STORE
+                pls = pl.per_line_sectors
+                if pls is None:
+                    pls = pl.sector_info(pl.addrs, line_bytes)[1]
+                aux = (
+                    pl.segments,
+                    tuple(s // line_bytes for s in pl.segments),
+                    tuple(ns * txn_bytes for ns in pls),
+                )
+            else:
+                rkind = R_GLOBAL_STORE_NOCACHE
+                aux = pl.n_sectors
+                if aux < 0:
+                    aux = pl.sector_info(pl.addrs, line_bytes)[0]
+        mem.append((pc, pl, k, rkind, aux, deps[pc]))
+    return tuple(mem), tags
 
 
-def _build_program(sig, banks, shared_base, cfg, cache_enabled, skel):
+def _build_program(sig, banks, shared_base, cfg, cache_enabled, skel) -> WarpProgram:
     """Lower one signature against a bank model and CTA base offset.
 
-    The bank-independent columns come precomputed in ``skel``
-    (:func:`_skeleton`); this pass resolves only the memory ops'
-    penalties and row counts against the concrete bank model, so a
-    partition sweep pays per-memory-op rather than per-op work.
+    Copies the shape's row template and fills in the memory rows with
+    their bank outcomes, so a partition sweep pays per-memory-op rather
+    than per-op work.
     """
+    low = sig[0]
+    rows, conflict, hist_t = low.template(
+        (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
+    )
+    rows = rows.copy()
     shared_latency = cfg.shared_latency
     planned_shared = banks.planned_shared
     planned_global = banks.planned_global
-    kind, a, b, aux, mem, conflict, hist_t, tags = skel
-    a = a.copy()
-    b = b.copy()
+    mem, tags = skel
     hist = list(hist_t)
     arb = 0
     sh_rr = sh_rw = c_rr = c_rw = 0
-    for pc, op, pl, k in mem:
+    for pc, pl, k, rkind, aux, dep in mem:
         if k <= K_SHARED_STORE:
-            penalty, bucket, rows, arb_i = planned_shared(
-                pl, op.addrs, shared_base
+            penalty, bucket, n_rows, arb_i = planned_shared(pl, pl.addrs, shared_base)
+            rows[pc] = (
+                rkind, float(penalty + 1), float(penalty + shared_latency), aux, dep
             )
-            a[pc] = penalty + 1
-            b[pc] = penalty + shared_latency
             if k == K_SHARED_LOAD:
-                sh_rr += rows
+                sh_rr += n_rows
             else:
-                sh_rw += rows
+                sh_rw += n_rows
         else:  # global / local
-            penalty, bucket, rows, arb_i = planned_global(pl)
-            a[pc] = penalty
-            b[pc] = penalty + 1
+            penalty, bucket, n_rows, arb_i = planned_global(pl)
+            rows[pc] = (rkind, float(penalty), float(penalty + 1), aux, dep)
             if cache_enabled:
                 if k == K_GLOBAL_LOAD:
-                    c_rr += rows
+                    c_rr += n_rows
                 else:
-                    c_rw += rows
+                    c_rw += n_rows
         conflict += penalty
         hist[bucket] += 1
         arb += arb_i
     totals = (
-        sig.n_ops,
+        low.n_ops,
         conflict,
         arb,
         *hist,
-        *sig.rf_totals,
+        *low.rf_totals,
         sh_rr, sh_rw, c_rr, c_rw, tags,
     )
-    return WarpProgram(sig, kind, a, b, aux, totals)
+    return WarpProgram(low, rows, totals)
 
 
 def cta_plan(
@@ -522,7 +540,7 @@ def cta_plan(
                 skey = (id(sig), cfg_key)
                 skel = skels.get(skey)
                 if skel is None:
-                    skel = skels[skey] = _skeleton(sig, cfg, cache_enabled)
+                    skel = skels[skey] = _mem_skeleton(sig, cfg, cache_enabled)
                 prog = progs[pkey] = _build_program(
                     sig, banks, shared_base, cfg, cache_enabled, skel
                 )

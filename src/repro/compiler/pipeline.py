@@ -56,6 +56,17 @@ class _ShapeCompilation:
     regs_used: int
     rf_traffic: RFTrafficCounts
 
+    @staticmethod
+    def spill_addrs(local_base: int, slot: int, active: int) -> tuple[int, ...]:
+        """Per-lane addresses of one warp's fill or spill of ``slot``.
+
+        The one definition of the interleaved spill layout (see the
+        module docstring); replay's lowering reaches it through the
+        shape, the per-op records through :meth:`materialise`.
+        """
+        base = local_base + slot * SLOT_BYTES
+        return tuple(range(base, base + 4 * active, 4))
+
     def materialise(self, ops: list[WarpOp], local_base: int) -> list[CompiledOp]:
         """The per-op records of one warp with this shape.
 
@@ -67,8 +78,7 @@ class _ShapeCompilation:
         for entry, (op_class, dst, srcs), tag in zip(self.entries, self.arch_shape, self.tags):
             if isinstance(entry, (Fill, Spill)):
                 active = ops[entry.at].active
-                base = local_base + entry.slot * SLOT_BYTES
-                addrs = tuple(base + 4 * lane for lane in range(active))
+                addrs = self.spill_addrs(local_base, entry.slot, active)
             else:
                 src_op = ops[entry.index]
                 active = src_op.active

@@ -22,9 +22,17 @@ them once and attaches them to the kernel:
   modulo the bank pattern period (see :mod:`repro.memory.banks` for the
   exactness argument), so re-simulating a kernel under a new partition
   resolves bank accesses with table lookups.
-* Plans are **interned**: ops with identical timing-relevant fields
-  share one plan object (and its memos), so loop-heavy kernels build
-  10-60x fewer plans than they have ops and keep the live heap small.
+* Plans are **interned** (:func:`intern_plan`, the one definition of
+  the key): ops with identical timing-relevant fields share one plan
+  object (and its memos), so loop-heavy kernels build 10-60x fewer
+  plans than they have ops and keep the live heap small.
+
+Two passes plan through the same table.  The columnar lowering
+(:mod:`repro.compiler.columnar`) plans a register shape's non-memory
+ops once and each warp's memory ops from that warp's addresses, so
+replay never builds per-op records; :func:`plan_kernel` plans every
+:class:`~repro.compiler.compiled.CompiledOp` of a kernel for the per-op
+reference loop the tests compare replay against.
 
 Cycle identity: plans carry no new modelling.  Every cached value is
 definitionally equal to what :meth:`repro.memory.banks.PartitionedBanks.
@@ -41,7 +49,7 @@ to the simulator itself.
 
 from __future__ import annotations
 
-from repro.compiler.compiled import CompiledKernel, CompiledOp
+from repro.compiler.compiled import CompiledKernel
 from repro.core.partition import BANK_WIDTH, CACHE_LINE
 from repro.isa.opcodes import OpClass
 from repro.memory.coalescer import coalesce_lines, coalesce_sectors
@@ -79,12 +87,16 @@ def hist_bucket(max_bank: int) -> int:
 
 
 class OpPlan:
-    """Precomputed invariants of one :class:`CompiledOp`.
+    """Precomputed invariants of one op, built from the four fields of a
+    :class:`~repro.compiler.compiled.CompiledOp` that timing reads: its
+    op class, MRF read registers, MRF write count and addresses.
 
     Attributes:
         kind: One of the ``K_*`` dispatch constants.
         n_mrf_reads: ``len(op.mrf_reads)`` (MRF read-energy increment).
         n_mrf_writes: ``len(op.mrf_writes)``.
+        addrs: The op's per-thread addresses (``None`` for non-memory
+            ops); part of the interning key, so one plan has one tuple.
         reg_counts: MRF reads per register bank (length 4).
         reg_max: Busiest-bank MRF read count.
         reg_penalty: ``max(reg_max - 1, 0)`` -- the full bank penalty of
@@ -111,6 +123,7 @@ class OpPlan:
         "kind",
         "n_mrf_reads",
         "n_mrf_writes",
+        "addrs",
         "reg_counts",
         "reg_max",
         "reg_penalty",
@@ -124,21 +137,23 @@ class OpPlan:
         "shared_cache",
     )
 
-    def __init__(self, op: CompiledOp, line_bytes: int) -> None:
-        opclass = op.op
+    def __init__(
+        self, op_class: OpClass, mrf_reads, n_mrf_writes: int, addrs, line_bytes: int
+    ) -> None:
         try:
-            self.kind = _KIND_BY_OPCLASS[opclass]
+            self.kind = _KIND_BY_OPCLASS[op_class]
         except KeyError:
             raise ValueError(
-                f"op class {opclass!r} cannot be timed by the SM simulator"
+                f"op class {op_class!r} cannot be timed by the SM simulator"
             ) from None
         counts = [0, 0, 0, 0]
-        for r in op.mrf_reads:
+        for r in mrf_reads:
             counts[r & 3] += 1  # BANKS_PER_CLUSTER == 4
-        self.n_mrf_reads = len(op.mrf_reads)
-        self.n_mrf_writes = len(op.mrf_writes)
+        self.n_mrf_reads = len(mrf_reads)
+        self.n_mrf_writes = n_mrf_writes
+        self.addrs = addrs
         self.reg_counts = counts
-        reg_max = max(counts) if op.mrf_reads else 0
+        reg_max = max(counts) if mrf_reads else 0
         self.reg_max = reg_max
         self.reg_penalty = reg_max - 1 if reg_max > 1 else 0
         self.reg_bucket = hist_bucket(reg_max)
@@ -153,7 +168,7 @@ class OpPlan:
         if kind == K_SHARED_LOAD or kind == K_SHARED_STORE:
             self.shared_cache = {}
         elif kind == K_GLOBAL_LOAD or kind == K_GLOBAL_STORE:
-            segments = coalesce_lines(op.addrs, line_bytes)
+            segments = coalesce_lines(addrs, line_bytes)
             self.segments = segments
             n = len(segments)
             self.n_segments = n
@@ -218,8 +233,29 @@ def clear_plan_cache() -> None:
     _interned.clear()
 
 
+def intern_plan(op_class: OpClass, mrf_reads, n_mrf_writes: int, addrs, line_bytes: int) -> OpPlan:
+    """The plan of one op, shared with every op of equal key.
+
+    The one definition of the interning key: :func:`plan_kernel` and the
+    columnar lowering (:mod:`repro.compiler.columnar`) both plan through
+    here, so a kernel planned both ways shares its plan objects.
+    """
+    table = _interned.get(line_bytes)
+    if table is None:
+        table = _interned[line_bytes] = {}
+    key = (_KIND_BY_OPCLASS.get(op_class, -1), mrf_reads, n_mrf_writes, addrs)
+    pl = table.get(key)
+    if pl is None:
+        pl = table[key] = OpPlan(op_class, mrf_reads, n_mrf_writes, addrs, line_bytes)
+    return pl
+
+
 def plan_kernel(kernel: CompiledKernel, line_bytes: int) -> list[list[list[OpPlan]]]:
     """Plans for every op of ``kernel``, cached on the kernel.
+
+    The per-op reference loop (:func:`repro.sm.core.run_event`) reads
+    these; replay lowers from register shapes instead and never builds
+    this table.
 
     Args:
         kernel: The compiled kernel about to be simulated.
@@ -231,32 +267,20 @@ def plan_kernel(kernel: CompiledKernel, line_bytes: int) -> list[list[list[OpPla
         ``plans[cta][warp][pc]`` aligned with ``kernel.ctas``; repeated
         calls with the same ``line_bytes`` return the cached table.
         Plans are interned: ops with identical timing-relevant fields
-        share one :class:`OpPlan` (see ``_interned``).
+        share one :class:`OpPlan` (see :func:`intern_plan`).
     """
     cache = kernel._plan_cache
     plans = cache.get(line_bytes)
     if plans is None:
-        interned = _interned.get(line_bytes)
-        if interned is None:
-            interned = _interned[line_bytes] = {}
-        kind_by = _KIND_BY_OPCLASS
-        plans = []
-        for cta in kernel.ctas:
-            cta_plans = []
-            for warp in cta.warps:
-                warp_plans = []
-                for op in warp.ops:
-                    key = (
-                        kind_by.get(op.op, -1),
-                        op.mrf_reads,
-                        len(op.mrf_writes),
-                        op.addrs,
-                    )
-                    pl = interned.get(key)
-                    if pl is None:
-                        pl = interned[key] = OpPlan(op, line_bytes)
-                    warp_plans.append(pl)
-                cta_plans.append(warp_plans)
-            plans.append(cta_plans)
+        plans = [
+            [
+                [
+                    intern_plan(op.op, op.mrf_reads, len(op.mrf_writes), op.addrs, line_bytes)
+                    for op in warp.ops
+                ]
+                for warp in cta.warps
+            ]
+            for cta in kernel.ctas
+        ]
         cache[line_bytes] = plans
     return plans

@@ -14,7 +14,7 @@ Expressions support Python operator syntax (``a + b * 4``,
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _OPS = {
     "+": operator.add,

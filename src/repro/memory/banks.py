@@ -45,7 +45,7 @@ is the paper's "simple vs. enhanced scatter/gather" design choice
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compiler.compiled import CompiledOp
 from repro.core.partition import (

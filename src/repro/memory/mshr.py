@@ -15,7 +15,9 @@ store unit stalls until the earliest outstanding fill retires (a
 The file is deliberately time-based rather than event-based, matching
 the event-driven SM simulator it plugs into: entries are retired lazily
 whenever a lookup supplies the current cycle, so the structure stays a
-plain dict with no event queue.
+plain dict with no event queue.  The file tracks its earliest
+outstanding fill, so a lookup before that cycle retires nothing and
+scans nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class MSHRFile:
     __slots__ = (
         "num_entries",
         "_fills",
+        "_next_fill",
         "primary_misses",
         "secondary_merges",
         "full_stalls",
@@ -49,6 +52,8 @@ class MSHRFile:
         self.num_entries = num_entries
         #: line address -> cycle the outstanding fill completes.
         self._fills: dict[int, float] = {}
+        #: Earliest outstanding fill completion (``inf`` when empty).
+        self._next_fill = float("inf")
         self.primary_misses = 0
         self.secondary_merges = 0
         self.full_stalls = 0
@@ -57,11 +62,13 @@ class MSHRFile:
 
     def _retire(self, now: float) -> None:
         """Drop entries whose fills have completed by ``now``."""
+        if now < self._next_fill:
+            return
         fills = self._fills
-        if fills:
-            done = [line for line, fill in fills.items() if fill <= now]
-            for line in done:
-                del fills[line]
+        done = [line for line, fill in fills.items() if fill <= now]
+        for line in done:
+            del fills[line]
+        self._next_fill = min(fills.values(), default=float("inf"))
 
     def outstanding(self, line_addr: int, now: float) -> float | None:
         """Completion time of an in-flight fill of ``line_addr``, if any.
@@ -83,7 +90,7 @@ class MSHRFile:
         self._retire(now)
         if len(self._fills) < self.num_entries:
             return now
-        return min(self._fills.values())
+        return self._next_fill
 
     def allocate(self, line_addr: int, fill_complete: float, now: float) -> None:
         """Record a primary miss whose fill lands at ``fill_complete``.
@@ -104,6 +111,8 @@ class MSHRFile:
                 f"{now}: secondary misses must merge, not re-allocate"
             )
         fills[line_addr] = fill_complete
+        if fill_complete < self._next_fill:
+            self._next_fill = fill_complete
         self.primary_misses += 1
         n = len(fills)
         if n > self.peak_outstanding:

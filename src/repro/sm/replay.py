@@ -64,7 +64,6 @@ from repro.compiler.columnar import (
     N_TOTALS,
     _sig_table,
     cta_plan,
-    sig_obs_rows,
 )
 from repro.compiler.compiled import CompiledKernel
 from repro.memory.dram import DRAMChannel
@@ -106,7 +105,8 @@ class _ColWarp:
         #: single-core inlined frame leaves it unset.
         self.core = core
         #: Instrumented-replay state, set only when ``obs_rows`` (the
-        #: :func:`~repro.compiler.columnar.sig_obs_rows` pair) is given:
+        #: :meth:`~repro.compiler.columnar.ShapeLowering.obs_rows` pair)
+        #: is given:
         #: run-unique warp id, per-op (name, prods, dst) columns, the
         #: collector's _WarpObs, and the per-pc writeback latency class
         #: -- cause index / conflict share / MSHR wait, the pc-indexed
@@ -466,7 +466,7 @@ def make_warp_runner_obs(cfg: SMConfig, cache, dram, mshr, obs):
       the collector's reg-keyed pending dict: ``comp`` already holds
       every producer's completion, and ``wcaus`` / ``wconf`` /
       ``wmshr`` hold its latency class -- initialised to the static
-      per-op cause from :func:`~repro.compiler.columnar.sig_obs_rows`
+      per-op cause from :meth:`~repro.compiler.columnar.ShapeLowering.obs_rows`
       (RAW, or MEMORY for texture) with zero shares, written only on
       escalation, exactly as the event loop decides it: cache-missing
       or MSHR-merging loads and every uncached load become MEMORY;
@@ -899,7 +899,7 @@ def run_columnar(
             for wi, prog in enumerate(progs):
                 w = _ColWarp(
                     prog, resident, core, wid=core.warp_serial,
-                    obs_rows=sig_obs_rows(prog.sig),
+                    obs_rows=prog.shape.obs_rows(),
                 )
                 core.warp_serial += 1
                 obs.spawn(w.wid, resident.index, wi, now)

@@ -1,8 +1,12 @@
 """Microbenchmark and CLI smoke tests (tiny scale, single repeat)."""
 
-import json
-
-from repro.bench.micro import bench_cache, bench_coalescer, bench_trace, run_micro
+from repro.bench.micro import (
+    bench_cache,
+    bench_coalescer,
+    bench_lower,
+    bench_trace,
+    run_micro,
+)
 from repro.bench.report import make_payload, validate_payload
 
 
@@ -20,6 +24,18 @@ def test_trace_benches_agree_on_meta():
     assert (build.id, load.id) == ("micro.trace.build", "micro.trace.load")
     assert build.meta["warp_ops"] > 0
     assert build.meta == load.meta
+
+
+def test_lower_bench_counts_the_lowering():
+    a = bench_lower("tiny", repeats=2)
+    (entry,) = a
+    assert entry.id == "micro.lower" and len(entry.runs) == 2
+    meta = entry.meta
+    # Shapes are shared by warps, signatures by equal-address warps of
+    # one shape, and every signature has a program at shared base 0.
+    assert 0 < meta["shapes"] <= meta["signatures"] <= meta["warps"]
+    assert meta["programs"] == meta["signatures"]
+    assert bench_lower("tiny", repeats=1)[0].meta == meta
 
 
 def test_run_micro_payload_validates():

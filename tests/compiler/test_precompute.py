@@ -57,6 +57,10 @@ def _op(opclass, *, dst=None, srcs=(), mrf_reads=(), addrs=None, mrf_writes=()):
     )
 
 
+def _plan(op, line_bytes=128):
+    return OpPlan(op.op, op.mrf_reads, len(op.mrf_writes), op.addrs, line_bytes)
+
+
 def _models():
     part = partitioned_baseline()
     uni = allocate_unified(
@@ -85,17 +89,17 @@ def test_kind_mapping_covers_timed_opclasses():
     }
     for opclass, kind in expected.items():
         addrs = tuple(range(0, 128, 4)) if opclass.is_memory else None
-        assert OpPlan(_op(opclass, addrs=addrs), 128).kind == kind
+        assert _plan(_op(opclass, addrs=addrs)).kind == kind
 
 
 def test_untimeable_opclass_rejected():
     with pytest.raises(ValueError, match="cannot be timed"):
-        OpPlan(_op(OpClass.EXIT), 128)
+        _plan(_op(OpClass.EXIT))
 
 
 def test_register_facts_match_access():
     op = _op(OpClass.ALU, mrf_reads=(0, 4, 8, 1), mrf_writes=(2,))
-    pl = OpPlan(op, 128)
+    pl = _plan(op)
     assert pl.reg_counts == [3, 1, 0, 0]
     assert pl.reg_max == 3
     assert pl.reg_penalty == 2
@@ -113,7 +117,7 @@ def test_register_facts_match_access():
 
 def test_global_plan_matches_coalescer():
     addrs = tuple((7919 * lane * lane) % (1 << 16) for lane in range(32))
-    pl = OpPlan(_op(OpClass.LOAD_GLOBAL, addrs=addrs), 128)
+    pl = _plan(_op(OpClass.LOAD_GLOBAL, addrs=addrs))
     assert pl.segments == coalesce_lines(addrs, 128)
     assert pl.n_segments == len(pl.segments)
     # sector facts are deferred until a store/uncached-load needs them
@@ -131,7 +135,7 @@ def test_global_plan_matches_coalescer():
 
 
 def test_empty_addrs_memory_op_plans_cleanly():
-    pl = OpPlan(_op(OpClass.STORE_GLOBAL, addrs=()), 128)
+    pl = _plan(_op(OpClass.STORE_GLOBAL, addrs=()))
     assert pl.n_segments == 0
     assert pl.sector_info((), 128) == (0, ())
     assert pl.part_mem == (0, hist_bucket(0), 0)
@@ -159,7 +163,7 @@ def test_planned_equals_access_on_kernel(kernel_name):
     models = _models()
     checked = 0
     for op in ops:
-        pl = OpPlan(op, 128)
+        pl = _plan(op)
         for m in models:
             for shared_base in SHARED_BASES:
                 if pl.kind in (K_SHARED_LOAD, K_SHARED_STORE):
@@ -192,7 +196,7 @@ def test_shared_memo_keys_distinguish_models():
     """The two unified variants must not share a shared-memory memo slot."""
     addrs = tuple(4 * lane for lane in range(32))
     op = _op(OpClass.LOAD_SHARED, addrs=addrs, mrf_reads=(0, 4))
-    pl = OpPlan(op, 128)
+    pl = _plan(op)
     part, uni, uni_cp = _models()
     part.planned_shared(pl, addrs, 4)
     uni.planned_shared(pl, addrs, 4)

@@ -133,7 +133,6 @@ class TestManifestCollisions:
     """Same-second manifest/span writes must uniquify, not clobber."""
 
     def _manifest(self, created_unix=1700000000.0, command="repro suite"):
-        from repro.experiments.runner import config_fingerprint
         from repro.obs.manifest import build_run_manifest
         from repro.sm import SMConfig
 

@@ -1,7 +1,6 @@
 """Tests for the BFS graph substrate."""
 
 import numpy as np
-import pytest
 
 from repro.kernels.bfs import bfs_levels, build, generate_graph
 

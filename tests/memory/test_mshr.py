@@ -1,5 +1,7 @@
 """Unit tests for the MSHR file (non-blocking miss tracking)."""
 
+import random
+
 import pytest
 
 from repro.memory import MSHRFile
@@ -101,3 +103,76 @@ class TestStats:
             "full_stall_cycles": 0.0,
             "peak_outstanding": 1,
         }
+
+
+class _ScanningMSHR:
+    """The MSHR file's semantics restated naively: every probe scans
+    every outstanding fill."""
+
+    def __init__(self, num_entries):
+        self.num_entries = num_entries
+        self.fills = {}
+        self.primary_misses = 0
+        self.peak_outstanding = 0
+
+    def _retire(self, now):
+        self.fills = {line: f for line, f in self.fills.items() if f > now}
+
+    def outstanding(self, line, now):
+        self._retire(now)
+        return self.fills.get(line)
+
+    def entry_free_at(self, now):
+        self._retire(now)
+        if len(self.fills) < self.num_entries:
+            return now
+        return min(self.fills.values())
+
+    def allocate(self, line, fill, now):
+        self._retire(now)
+        if len(self.fills) >= self.num_entries or line in self.fills:
+            raise RuntimeError("refused")
+        self.fills[line] = fill
+        self.primary_misses += 1
+        self.peak_outstanding = max(self.peak_outstanding, len(self.fills))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_scanning_model(seed):
+    """Seeded probe streams: every return value and counter agrees with
+    a model that rescans the whole file on each probe.  Probes repeat
+    cycles, land exactly on fill times, and sometimes look back."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    m, ref = MSHRFile(n), _ScanningMSHR(n)
+    now = 0.0
+    for _ in range(3000):
+        now += rng.choice((0.0, 0.0, 0.5, 1.0, 7.0, 60.0))
+        probe = now - rng.choice((0.0, 0.0, 0.0, 0.0, 25.0))
+        line = 128 * rng.randrange(10)
+        action = rng.randrange(3)
+        if action == 0:
+            assert m.outstanding(line, probe) == ref.outstanding(line, probe)
+        elif action == 1:
+            assert m.entry_free_at(probe) == ref.entry_free_at(probe)
+        else:
+            fill = probe + rng.choice((1.0, 50.0, 200.0, 200.5))
+            try:
+                ref.allocate(line, fill, probe)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    m.allocate(line, fill, probe)
+            else:
+                m.allocate(line, fill, probe)
+        assert m.outstanding_count == len(ref.fills)
+        assert m.primary_misses == ref.primary_misses
+        assert m.peak_outstanding == ref.peak_outstanding
+    assert m.stats() == {
+        "entries": n,
+        "primary_misses": ref.primary_misses,
+        "secondary_merges": 0,
+        "full_stalls": 0,
+        "full_stall_cycles": 0.0,
+        "peak_outstanding": ref.peak_outstanding,
+    }
+    assert ref.primary_misses > 0 and ref.peak_outstanding == n

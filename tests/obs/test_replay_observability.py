@@ -9,7 +9,8 @@ per-cause stall attribution, the same interval samples, the same trace
 events -- and observability must stay neutral (collectors on/off change
 no simulated number).  The conservation invariant
 (``issue + stalls == warps x cycles``, exact ``fsum`` equality) is
-re-checked on every run.
+re-checked on every run.  The ``@spill`` arms compile a kernel at 5/8
+of its peak liveness, so the instrumented loops see fills and spills.
 """
 
 import json
@@ -26,6 +27,7 @@ from repro.sm.simulator import simulate
 from tests.util import reference_loop
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
+SPILL_KERNELS = ("dgemm@spill", "lu@spill")
 PARTITIONS = ("baseline", "unified384")
 MSHRS = (0, 4)
 
@@ -35,11 +37,20 @@ def runner():
     return Runner("tiny")
 
 
+def _compiled(runner, kernel):
+    """The kernel at its no-spill budget, or at 5/8 of it for ``@spill``."""
+    name, _, arm = kernel.partition("@")
+    ck = runner.compiled(name)
+    if arm == "spill":
+        ck = runner.compiled(name, max(6, 5 * ck.max_live // 8))
+    return ck
+
+
 def _partition(runner, kernel, name):
     if name == "baseline":
         return partitioned_baseline()
     try:
-        return runner.allocation(kernel).partition
+        return runner.allocation(kernel.partition("@")[0]).partition
     except Exception:
         pytest.skip(f"{kernel} has no unified-384 allocation at this scale")
 
@@ -62,9 +73,9 @@ def _dumps(payload):
 # -- per-cause attribution equality, SM scope -----------------------------
 @pytest.mark.parametrize("mshr", MSHRS)
 @pytest.mark.parametrize("part_name", PARTITIONS)
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS + SPILL_KERNELS)
 def test_instrumented_engines_identical(runner, kernel, part_name, mshr):
-    ck = runner.compiled(kernel)
+    ck = _compiled(runner, kernel)
     part = _partition(runner, kernel, part_name)
     cfg = _config(runner, mshr)
     obs_e = Collector(metrics_window=500, trace=True, max_trace_events=200_000)
@@ -89,10 +100,10 @@ def test_instrumented_engines_identical(runner, kernel, part_name, mshr):
 # -- per-cause attribution equality, chip scope ---------------------------
 @pytest.mark.parametrize("part_dram", (False, True))
 @pytest.mark.parametrize("mshr", MSHRS)
-@pytest.mark.parametrize("kernel", ("vectoradd", "needle"))
+@pytest.mark.parametrize("kernel", ("vectoradd", "needle", "lu@spill"))
 def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
     """Shared arbitrated DRAM, 4 SMs, DRAM-window and CTA taps live."""
-    ck = runner.compiled(kernel)
+    ck = _compiled(runner, kernel)
     part = partitioned_baseline()
     nch = 4 if part_dram else 2
     chip = ChipConfig(

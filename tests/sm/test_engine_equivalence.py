@@ -6,7 +6,9 @@ produce a :class:`~repro.sm.result.SimResult` *equal* to the per-op
 reference loop's (:func:`repro.sm.core.run_event`) -- same cycles, same
 counters, same energy, same notes.  This sweep is the enforcement:
 kernels x partitions x MSHR settings, single-SM and chip scope,
-compared field for field.
+compared field for field.  The ``@spill`` arms compile a kernel at
+5/8 of its peak liveness, so fills and spills (thousands of local-memory
+ops for dgemm and lu) reach both loops through their own lowering.
 """
 
 from dataclasses import replace
@@ -21,6 +23,7 @@ from repro.sm.simulator import simulate
 from tests.util import reference_loop
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
+SPILL_KERNELS = ("dgemm@spill", "lu@spill", "needle@spill", "bfs@spill")
 PARTITIONS = ("baseline", "unified384")
 MSHRS = (0, 4)
 
@@ -30,11 +33,20 @@ def runner():
     return Runner("tiny")
 
 
+def _compiled(runner, kernel):
+    """The kernel at its no-spill budget, or at 5/8 of it for ``@spill``."""
+    name, _, arm = kernel.partition("@")
+    ck = runner.compiled(name)
+    if arm == "spill":
+        ck = runner.compiled(name, max(6, 5 * ck.max_live // 8))
+    return ck
+
+
 def _partition(runner, kernel, name):
     if name == "baseline":
         return partitioned_baseline()
     try:
-        return runner.allocation(kernel).partition
+        return runner.allocation(kernel.partition("@")[0]).partition
     except Exception:
         pytest.skip(f"{kernel} has no unified-384 allocation at this scale")
 
@@ -52,9 +64,9 @@ def _config(runner, mshr):
 
 @pytest.mark.parametrize("mshr", MSHRS)
 @pytest.mark.parametrize("part_name", PARTITIONS)
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS + SPILL_KERNELS)
 def test_engines_bit_identical(runner, kernel, part_name, mshr):
-    ck = runner.compiled(kernel)
+    ck = _compiled(runner, kernel)
     part = _partition(runner, kernel, part_name)
     cfg = _config(runner, mshr)
     with reference_loop():
@@ -70,10 +82,10 @@ def test_engines_bit_identical(runner, kernel, part_name, mshr):
 
 
 @pytest.mark.parametrize("mshr", MSHRS)
-@pytest.mark.parametrize("kernel", ("vectoradd", "needle"))
+@pytest.mark.parametrize("kernel", ("vectoradd", "needle", "lu@spill"))
 def test_engines_bit_identical_at_chip_scope(runner, kernel, mshr):
     """Chip scope: shared arbitrated DRAM, 4 SMs, both loops."""
-    ck = runner.compiled(kernel)
+    ck = _compiled(runner, kernel)
     part = partitioned_baseline()
     chip = ChipConfig(
         num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2,
