@@ -48,7 +48,12 @@ def _bank_workload(scale: str):
 
 
 def bench_banks(scale: str, repeats: int) -> list[BenchEntry]:
-    """Time the partitioned and unified bank-conflict models."""
+    """Time the partitioned and unified bank-conflict models.
+
+    ``meta`` sums the models' answers -- penalty cycles, data rows,
+    Table 5 buckets and (unified) arbitration conflicts -- so two
+    revisions that agree on it resolved every access identically.
+    """
     from repro.core import partitioned_baseline
     from repro.core.allocator import allocate_unified
     from repro.core.partition import KB
@@ -61,25 +66,31 @@ def bench_banks(scale: str, repeats: int) -> list[BenchEntry]:
         384 * KB, regs_per_thread=21, threads_per_cta=256, smem_bytes_per_cta=2048
     ).partition
 
-    def run(partition):
+    def run(partition, unified):
         def body():
             banks = make_bank_model(partition)
+            penalty = rows = 0
             for _ in range(_BANK_ROUNDS):
                 for op, segs in zip(ops, segments):
                     if op.op.space is MemSpace.SHARED:
-                        banks.access(op, shared_base=0)
+                        out = banks.access(op, shared_base=0)
                     elif op.op.is_memory:
-                        banks.access(op, segments=segs)
+                        out = banks.access(op, segments=segs)
                     else:
-                        banks.access(op)
-            return {"accesses": _BANK_ROUNDS * len(ops),
-                    "conflict_total": banks.histogram.total}
+                        out = banks.access(op)
+                    penalty += out.penalty
+                    rows += out.data_row_accesses
+            meta = {"accesses": _BANK_ROUNDS * len(ops), "penalty": penalty,
+                    "rows": rows, "buckets": banks.histogram.to_dict()}
+            if unified:
+                meta["arbitration"] = banks.arbitration_conflicts
+            return meta
 
         return body
 
     return [
-        timed("micro.banks.partitioned", run(part), repeats),
-        timed("micro.banks.unified", run(uni), repeats),
+        timed("micro.banks.partitioned", run(part, False), repeats),
+        timed("micro.banks.unified", run(uni, True), repeats),
     ]
 
 

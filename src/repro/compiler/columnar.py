@@ -4,9 +4,17 @@ Lowering turns a :class:`~repro.compiler.compiled.CompiledKernel` into
 the flat row programs the replay core (:mod:`repro.sm.replay`) steps
 without touching Python object graphs.  It reads register shapes
 (:mod:`repro.compiler.pipeline`) and each warp's trace addresses, never
-per-op :class:`~repro.compiler.compiled.CompiledOp` records, at three
+per-op :class:`~repro.compiler.compiled.CompiledOp` records, at four
 levels:
 
+* **Op plans** (:class:`OpPlan`, interned by :func:`intern_plan`) hold
+  the facts of one op that no partition changes: its dispatch kind, the
+  register-only bank outcome of a non-memory op, coalesced line
+  segments, DRAM sector counts, and a memo of the bank model's verdict
+  on a memory op.  Ops with equal (kind, MRF reads, addresses) share one
+  plan and its memo, so loop-heavy kernels build 10-60x fewer plans than
+  they have ops, and a partition sweep re-resolves a memory op with one
+  dict lookup per bank-model key.
 * **Shapes** (:class:`ShapeLowering`, once per register shape of a
   kernel) hold everything the shape alone decides: the static
   last-writer RAW dependency graph (which replaces the reference loop's
@@ -17,9 +25,8 @@ levels:
 * **Warp signatures** are the pair (shape lowering, tuple of
   memory-op plans), interned.  A warp's own lowering is planning its
   memory ops from its addresses -- the trace op's, or the spill-slot
-  formula's for fills and spills -- through
-  :func:`~repro.compiler.precompute.intern_plan`, so warps of one shape
-  whose addresses coincide share one signature.
+  formula's for fills and spills -- so warps of one shape whose
+  addresses coincide share one signature.
 * **Programs** (:class:`WarpProgram`) specialise a signature to a bank
   model, CTA shared-memory base, and latency config: a copy of the
   shape's row template with the memory rows filled in (bank-conflict
@@ -29,36 +36,42 @@ levels:
   conflicts, RF/row/tag energy events) summed over the warp at lowering
   time and added once at CTA spawn instead of once per op.
 
+Plans carry no modelling of their own.  A memory op's outcome is the
+bank model's ``conflicts()`` (:mod:`repro.memory.banks`), memoised
+under a key that pins everything it depends on beyond the plan (the
+model's ``plan_key`` for shared memory, its class for global/local);
+line segments and sector counts come from :mod:`repro.memory.coalescer`.
 Static totals are sound because each of those counters is
 order-independent and a pure function of the warp's plans plus the
-bank-model memo key (the same argument that makes the ``planned_*``
-memos exact, see :mod:`repro.memory.banks`); the dependency graph is
-sound because the reference loop's ``pending`` dict maps each register
-to its *last* writer's completion, which is exactly the static
-last-writer analysis here (writes drain in program order, so WAW is
-safe to collapse).  Barrier ops contribute to the instruction count but
-to no other counter -- the reference loop ``continue``s past the
-accounting lines for them -- and their source registers still take
-dependency edges (the reference loop reads ``pending`` when re-keying a
-released warp).
+bank-model memo key; the dependency graph is sound because the
+reference loop's ``pending`` dict maps each register to its *last*
+writer's completion, which is exactly the static last-writer analysis
+here (writes drain in program order, so WAW is safe to collapse).
+Barrier ops contribute to the instruction count but to no other
+counter -- the reference loop ``continue``s past the accounting lines
+for them -- and their source registers still take dependency edges
+(the reference loop reads ``pending`` when re-keying a released warp).
 
 Cycle identity of everything built here is pinned end to end by the
-golden fixtures and ``tests/sm/test_engine_equivalence.py``, whose
-``@spill`` arms cover fills and spills.
+golden fixtures and ``tests/sm/test_engine_equivalence.py``: the
+reference loop computes every op from the component models and shares
+no plan or memo with lowering, and the ``@spill`` arms cover fills and
+spills.
+
+Related work motivates the shape of this optimisation: compiler-assisted
+register-file caching (Abaie Shoushtary et al.) and software/hardware
+cooperative RF management (Sadrosadati et al.) both hoist per-access
+decisions into a once-per-kernel analysis; here the same move is applied
+to the simulator itself.
 """
 
 from __future__ import annotations
 
 from repro.compiler.compiled import CompiledKernel
-from repro.compiler.precompute import (
-    K_BARRIER,
-    K_GLOBAL_LOAD,
-    K_SHARED_LOAD,
-    K_SHARED_STORE,
-    intern_plan,
-)
 from repro.compiler.regalloc import Rewrite
 from repro.isa.opcodes import OpClass
+from repro.memory.banks import hist_bucket, register_conflicts
+from repro.memory.coalescer import coalesce_lines, sectors_per_line
 from repro.obs.collector import CAUSE_MEMORY, CAUSE_RAW, STALL_CAUSES
 
 # Integer cause indices into STALL_CAUSES: the instrumented replay loops
@@ -66,6 +79,30 @@ from repro.obs.collector import CAUSE_MEMORY, CAUSE_RAW, STALL_CAUSES
 # back to the canonical cause strings when folding into the collector.
 CI_RAW = STALL_CAUSES.index(CAUSE_RAW)
 CI_MEMORY = STALL_CAUSES.index(CAUSE_MEMORY)
+
+#: Dense instruction kinds lowering dispatches on.  The first three
+#: index ``(alu, sfu, tex)`` latency tables, so their order is load-bearing.
+K_ALU = 0
+K_SFU = 1
+K_TEX = 2
+K_SHARED_LOAD = 3
+K_SHARED_STORE = 4
+K_GLOBAL_LOAD = 5  # global or local space, through the cache
+K_GLOBAL_STORE = 6
+K_BARRIER = 7
+
+_KIND_BY_OPCLASS = {
+    OpClass.ALU: K_ALU,
+    OpClass.SFU: K_SFU,
+    OpClass.TEX: K_TEX,
+    OpClass.LOAD_SHARED: K_SHARED_LOAD,
+    OpClass.STORE_SHARED: K_SHARED_STORE,
+    OpClass.LOAD_GLOBAL: K_GLOBAL_LOAD,
+    OpClass.STORE_GLOBAL: K_GLOBAL_STORE,
+    OpClass.LOAD_LOCAL: K_GLOBAL_LOAD,
+    OpClass.STORE_LOCAL: K_GLOBAL_STORE,
+    OpClass.BARRIER: K_BARRIER,
+}
 
 #: Replay row kinds: the runner dispatches on these, not the ``K_*``
 #: plan kinds -- ALU/SFU/TEX collapse into one row (their latency is
@@ -104,6 +141,137 @@ N_TOTALS = len(_TOTAL_FIELDS)
 _END_ROW = (R_END, 0.0, 0.0, None, None)
 
 
+class OpPlan:
+    """The partition-independent timing facts of one op.
+
+    Built from the three fields of an op that lowering reads: its op
+    class, MRF read registers and addresses.
+
+    Attributes:
+        kind: One of the ``K_*`` dispatch constants.
+        mrf_reads: The MRF read registers.
+        addrs: The op's per-thread addresses (``None`` for non-memory
+            ops); part of the interning key, so one plan has one tuple.
+        reg_penalty: Bank penalty of a non-memory op, identical under
+            every bank model (:func:`~repro.memory.banks.register_conflicts`).
+        reg_bucket: Histogram bucket of a non-memory op.
+        segments: Sorted line bases (global/local ops only).
+        n_segments: ``len(segments)``.
+        per_line_sectors: Distinct 32-byte DRAM sectors per touched
+            line, in ascending line order -- the cached store path's
+            DRAM burst sizes; ``None`` until :meth:`line_sectors`
+            computes it.
+        outcomes: Memo of :meth:`outcome` for a memory op; ``None``
+            until lowering first resolves the op.
+    """
+
+    __slots__ = (
+        "kind",
+        "mrf_reads",
+        "addrs",
+        "reg_penalty",
+        "reg_bucket",
+        "segments",
+        "n_segments",
+        "per_line_sectors",
+        "outcomes",
+    )
+
+    def __init__(self, op_class: OpClass, mrf_reads, addrs, line_bytes: int) -> None:
+        try:
+            self.kind = kind = _KIND_BY_OPCLASS[op_class]
+        except KeyError:
+            raise ValueError(
+                f"op class {op_class!r} cannot be timed by the SM simulator"
+            ) from None
+        self.mrf_reads = mrf_reads
+        self.addrs = addrs
+        self.reg_penalty, max_bank = register_conflicts(mrf_reads)
+        self.reg_bucket = hist_bucket(max_bank)
+        self.segments = None
+        self.n_segments = 0
+        self.per_line_sectors = None
+        self.outcomes = None
+        if kind == K_GLOBAL_LOAD or kind == K_GLOBAL_STORE:
+            self.segments = coalesce_lines(addrs, line_bytes)
+            self.n_segments = len(self.segments)
+
+    def line_sectors(self, line_bytes: int) -> tuple[int, ...]:
+        """:attr:`per_line_sectors`, computed on first use.
+
+        Only stores and uncached loads consume DRAM-sector counts, so
+        cached loads -- the common case -- never pay for them.
+        ``line_bytes`` must be the plan's line size.
+        """
+        per_line = self.per_line_sectors
+        if per_line is None:
+            per_line = self.per_line_sectors = sectors_per_line(self.addrs, line_bytes)
+        return per_line
+
+    def outcome(self, banks, key, shared_base: int) -> tuple[int, int, int, int]:
+        """The bank model's verdict on this memory op, memoised under ``key``.
+
+        Returns ``(penalty, histogram bucket, data rows, arbitration)``
+        from ``banks.conflicts()``.  ``key`` must pin everything the
+        verdict depends on beyond the plan: ``banks.plan_key(shared_base)``
+        for a shared-memory op, the model's class for a global or local
+        one.
+        """
+        memo = self.outcomes
+        if memo is None:
+            memo = self.outcomes = {}
+        out = memo.get(key)
+        if out is None:
+            if self.segments is None:  # shared memory
+                penalty, max_bank, rows, arb = banks.conflicts(
+                    self.mrf_reads, self.addrs, shared_base
+                )
+            else:
+                penalty, max_bank, rows, arb = banks.conflicts(
+                    self.mrf_reads, lines=self.segments
+                )
+            out = memo[key] = (penalty, hist_bucket(max_bank), rows, arb)
+        return out
+
+
+#: Interned plans, ``_interned[line_bytes][key] -> OpPlan``.  A plan is a
+#: pure function of ``(kind, mrf_reads, addrs)`` at a given line size --
+#: including every lazily-filled field (sector facts and bank memos
+#: depend only on those inputs plus memo keys) -- so ops with equal keys
+#: share one plan object.  Loop-heavy kernels repeat a small set of
+#: operand/address patterns (10-60x dedup on the Table 1 suite), which
+#: keeps the live-object population small (a large tracked heap slows
+#: every CPython GC pass in long suite runs) and lets a plan's memos warm
+#: up across ops, warps, CTAs, and even recompiles of the same trace
+#: under a different register budget.
+_interned: dict[int, dict[tuple, OpPlan]] = {}
+
+
+def clear_plan_cache() -> None:
+    """Drop all interned plans (test isolation / memory release).
+
+    Kernels that were already lowered keep referencing their existing
+    plan objects; only future lowerings re-intern.
+    """
+    _interned.clear()
+
+
+def intern_plan(op_class: OpClass, mrf_reads, addrs, line_bytes: int) -> OpPlan:
+    """The plan of one op, shared with every op of equal key.
+
+    Raises:
+        ValueError: For an op class the simulator cannot time.
+    """
+    table = _interned.get(line_bytes)
+    if table is None:
+        table = _interned[line_bytes] = {}
+    key = (_KIND_BY_OPCLASS.get(op_class, -1), mrf_reads, addrs)
+    pl = table.get(key)
+    if pl is None:
+        pl = table[key] = OpPlan(op_class, mrf_reads, addrs, line_bytes)
+    return pl
+
+
 class ShapeLowering:
     """Everything replay needs from one register shape of a kernel.
 
@@ -121,10 +289,10 @@ class ShapeLowering:
             summed over non-barrier ops.
         plans: The interned plan of each non-memory op; ``None`` at
             memory ops, whose plans depend on the warp's addresses.
-        mem: One ``(pc, op class, mrf_reads, n_mrf_writes, index,
-            slot)`` per memory op.  ``index`` is the trace op that
-            supplies its addresses, or for a fill or spill (``slot >=
-            0``) its active-lane count.
+        mem: One ``(pc, op class, mrf_reads, index, slot)`` per memory
+            op.  ``index`` is the trace op that supplies its addresses,
+            or for a fill or spill (``slot >= 0``) its active-lane
+            count.
         templates: Row templates by ``(alu, sfu, tex)`` latency (see
             :meth:`template`).
         obs: Observability columns (see :meth:`obs_rows`); ``None``
@@ -162,23 +330,18 @@ class ShapeLowering:
             deps.append(tuple(d))
             if dst is not None:
                 last_writer[dst] = pc
-            n_mrf_writes = 1 if (tag.mrf_write and dst is not None) else 0
             if op_class.is_memory:
                 if isinstance(entry, Rewrite):
-                    mem.append((pc, op_class, tag.mrf_reads, n_mrf_writes, entry.index, -1))
+                    mem.append((pc, op_class, tag.mrf_reads, entry.index, -1))
                 else:  # Fill / Spill
-                    mem.append(
-                        (pc, op_class, tag.mrf_reads, n_mrf_writes, entry.at, entry.slot)
-                    )
+                    mem.append((pc, op_class, tag.mrf_reads, entry.at, entry.slot))
             else:
                 # Raises for an op class the simulator cannot time.
-                pl = plans[pc] = intern_plan(
-                    op_class, tag.mrf_reads, n_mrf_writes, None, line_bytes
-                )
+                pl = plans[pc] = intern_plan(op_class, tag.mrf_reads, None, line_bytes)
                 if pl.kind == K_BARRIER:
                     continue
             mrf_r += len(tag.mrf_reads)
-            mrf_w += n_mrf_writes
+            mrf_w += 1 if (tag.mrf_write and dst is not None) else 0
             orf_r += tag.orf_reads
             orf_w += 1 if tag.orf_write else 0
             lrf_r += tag.lrf_reads
@@ -197,12 +360,12 @@ class ShapeLowering:
         spill_addrs = warp.shape.spill_addrs
         return tuple([
             intern_plan(
-                op_class, mrf_reads, n_mrf_writes,
+                op_class, mrf_reads,
                 ops[index].addrs if slot < 0
                 else spill_addrs(local_base, slot, ops[index].active),
                 line_bytes,
             )
-            for _, op_class, mrf_reads, n_mrf_writes, index, slot in self.mem
+            for _, op_class, mrf_reads, index, slot in self.mem
         ])
 
     def template(self, lat: tuple[int, int, int]) -> tuple[list, int, tuple]:
@@ -415,24 +578,17 @@ def _mem_skeleton(sig: tuple, cfg, cache_enabled: bool) -> tuple:
                     aux = (pl.segments, tuple(s // line_bytes for s in pl.segments))
                 else:
                     rkind = R_GLOBAL_LOAD_NOCACHE
-                    aux = pl.n_sectors
-                    if aux < 0:
-                        aux = pl.sector_info(pl.addrs, line_bytes)[0]
+                    aux = sum(pl.line_sectors(line_bytes))
             elif cache_enabled:  # K_GLOBAL_STORE
                 rkind = R_GLOBAL_STORE
-                pls = pl.per_line_sectors
-                if pls is None:
-                    pls = pl.sector_info(pl.addrs, line_bytes)[1]
                 aux = (
                     pl.segments,
                     tuple(s // line_bytes for s in pl.segments),
-                    tuple(ns * txn_bytes for ns in pls),
+                    tuple(ns * txn_bytes for ns in pl.line_sectors(line_bytes)),
                 )
             else:
                 rkind = R_GLOBAL_STORE_NOCACHE
-                aux = pl.n_sectors
-                if aux < 0:
-                    aux = pl.sector_info(pl.addrs, line_bytes)[0]
+                aux = sum(pl.line_sectors(line_bytes))
         mem.append((pc, pl, k, rkind, aux, deps[pc]))
     return tuple(mem), tags
 
@@ -450,15 +606,17 @@ def _build_program(sig, banks, shared_base, cfg, cache_enabled, skel) -> WarpPro
     )
     rows = rows.copy()
     shared_latency = cfg.shared_latency
-    planned_shared = banks.planned_shared
-    planned_global = banks.planned_global
+    shared_key = banks.plan_key(shared_base)
+    # A global/local outcome depends on neither the partition nor the
+    # CTA base, so one memo entry per bank-model class serves them all.
+    global_key = type(banks)
     mem, tags = skel
     hist = list(hist_t)
     arb = 0
     sh_rr = sh_rw = c_rr = c_rw = 0
     for pc, pl, k, rkind, aux, dep in mem:
         if k <= K_SHARED_STORE:
-            penalty, bucket, n_rows, arb_i = planned_shared(pl, pl.addrs, shared_base)
+            penalty, bucket, n_rows, arb_i = pl.outcome(banks, shared_key, shared_base)
             rows[pc] = (
                 rkind, float(penalty + 1), float(penalty + shared_latency), aux, dep
             )
@@ -467,7 +625,7 @@ def _build_program(sig, banks, shared_base, cfg, cache_enabled, skel) -> WarpPro
             else:
                 sh_rw += n_rows
         else:  # global / local
-            penalty, bucket, n_rows, arb_i = planned_global(pl)
+            penalty, bucket, n_rows, arb_i = pl.outcome(banks, global_key, shared_base)
             rows[pc] = (rkind, float(penalty), float(penalty + 1), aux, dep)
             if cache_enabled:
                 if k == K_GLOBAL_LOAD:

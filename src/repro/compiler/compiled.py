@@ -148,7 +148,7 @@ class CompiledKernel:
     max_live: int
     uses_texture: bool = False
     _stats: TraceStats | None = field(default=None, repr=False, compare=False)
-    #: Per-line-size simulation plans (see :mod:`repro.compiler.precompute`);
+    #: Replay's lowering caches (see :mod:`repro.compiler.columnar`);
     #: lazily filled by the first ``simulate()`` call and reused by every
     #: subsequent simulation of this kernel.
     _plan_cache: dict = field(default_factory=dict, repr=False, compare=False)

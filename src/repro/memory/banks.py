@@ -41,6 +41,19 @@ enforces the literal Section 4.2 restriction that only one bank per
 cluster reaches the crossbar per cycle -- the difference between the two
 is the paper's "simple vs. enhanced scatter/gather" design choice
 (measured there at 0.5% average), exposed here as an ablation.
+
+Each model states its counting rule for memory instructions once, in
+``conflicts()``: a pure function of one warp instruction's MRF reads
+and memory access that returns ``(penalty, max_bank, data_rows,
+arbitration)``.  An instruction that reaches no memory bank conflicts
+only on its register banks, the same way under every model
+(:func:`register_conflicts`).  ``access()`` is the rule plus the
+bookkeeping (the Table 5 histogram and the arbitration count), and is
+what the per-op reference loop (:func:`repro.sm.core.run_event`) calls.
+The columnar lowering (:mod:`repro.compiler.columnar`) memoises
+``conflicts()`` on interned op plans: ``plan_key()`` names everything a
+shared-memory outcome depends on beyond the op, and a global/local
+outcome depends on nothing beyond the op and the model's class.
 """
 
 from __future__ import annotations
@@ -57,8 +70,23 @@ from repro.core.partition import (
     DesignStyle,
     MemoryPartition,
 )
-from repro.compiler.precompute import hist_bucket as _hist_bucket
 from repro.isa.opcodes import MemSpace
+
+#: Baseline shared-memory banks are 4 bytes wide (Section 2.1).
+SHARED_WORD = 4
+#: 16-byte bank rows a cache line spans.
+ROWS_PER_LINE = CACHE_LINE // BANK_WIDTH
+
+
+def hist_bucket(max_bank: int) -> int:
+    """Table 5 histogram bucket index (0: <=1, 1: 2, 2: 3, 3: 4, 4: >4)."""
+    if max_bank <= 1:
+        return 0
+    return max_bank - 1 if max_bank <= 4 else 4
+
+
+#: :class:`ConflictHistogram` fields, by :func:`hist_bucket` index.
+_BUCKET_FIELDS = ("at_most_1", "exactly_2", "exactly_3", "exactly_4", "over_4")
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +115,8 @@ class ConflictHistogram:
 
     def record(self, max_accesses: int) -> None:
         """Count one warp instruction whose busiest bank saw ``max_accesses``."""
-        if max_accesses <= 1:
-            self.at_most_1 += 1
-        elif max_accesses == 2:
-            self.exactly_2 += 1
-        elif max_accesses == 3:
-            self.exactly_3 += 1
-        elif max_accesses == 4:
-            self.exactly_4 += 1
-        else:
-            self.over_4 += 1
+        name = _BUCKET_FIELDS[hist_bucket(max_accesses)]
+        setattr(self, name, getattr(self, name) + 1)
 
     def merge(self, other: "ConflictHistogram") -> None:
         """Add ``other``'s bucket counts into this histogram in place."""
@@ -140,26 +160,50 @@ def _reg_bank_counts(regs: tuple[int, ...]) -> list[int]:
     return counts
 
 
-class PartitionedBanks:
-    """Conflict model for the hard-partitioned baseline (and Fermi-like).
+def register_conflicts(mrf_reads: tuple[int, ...]) -> tuple[int, int]:
+    """``(penalty, max_bank)`` of an instruction that reaches no memory bank.
 
-    Exposes two equivalent interfaces: :meth:`access` computes one warp
-    instruction's outcome from scratch (and records the histogram), and
-    the ``planned_*`` methods resolve the same outcome through a
-    precomputed :class:`~repro.compiler.precompute.OpPlan`, memoising
-    per-op results so repeat simulations of a kernel become table
-    lookups.  The planned paths do *not* touch :attr:`histogram`; the
-    simulator accumulates buckets itself and merges once per run.
+    Both designs place register ``r`` in bank ``r % 4`` of every cluster
+    and serialise reads of one bank, so an ALU, SFU or texture op
+    conflicts the same way under every model.
     """
+    reg_max = max(_reg_bank_counts(mrf_reads))
+    return max(reg_max - 1, 0), reg_max
 
-    #: Key prefix for plan-level memos (one entry space per model family).
-    _plan_tag = "P"
+
+class _BankModel:
+    """What both designs share: the bookkeeping around ``conflicts()``."""
 
     def __init__(self, partition: MemoryPartition) -> None:
         self.partition = partition
         self.histogram = ConflictHistogram()
-        #: Shared-memory banks are 4 bytes wide in the baseline.
-        self.shared_bank_width = 4
+        #: Instructions stalled by register/memory bank arbitration
+        #: (Section 4.3); always 0 in the partitioned design.
+        self.arbitration_conflicts = 0
+
+    def conflicts(
+        self,
+        mrf_reads: tuple[int, ...],
+        shared_addrs: tuple[int, ...] | None = None,
+        shared_base: int = 0,
+        lines=None,
+    ) -> tuple[int, int, int, int]:
+        """One memory instruction's bank outcome, without recording it.
+
+        Args:
+            mrf_reads: The instruction's MRF operand registers.
+            shared_addrs: Per-thread addresses of a shared-memory
+                access, relative to ``shared_base``.
+            shared_base: The CTA's scratchpad allocation offset.
+            lines: Coalesced line bases of a global or local access.
+
+        Returns:
+            ``(penalty, max_bank, data_rows, arbitration)``: stall
+            cycles, the busiest bank's access count (Table 5), 16-byte
+            data rows read or written, and 1 if register/memory
+            arbitration is what stalls the instruction.
+        """
+        raise NotImplementedError
 
     def access(
         self,
@@ -167,13 +211,7 @@ class PartitionedBanks:
         shared_base: int = 0,
         segments: list[int] | None = None,
     ) -> BankAccess:
-        """Resolve one warp instruction's bank conflicts from scratch.
-
-        Register and memory banks are separate structures in this
-        design, so the stall is simply the busiest port: the MRF bank
-        with the most operand reads, the shared-memory word bank with
-        the most distinct words, or the cache tag port serialising
-        multi-line accesses (Section 6.1's counting).
+        """Resolve one warp instruction and record it.
 
         Args:
             op: The compiled instruction (MRF operands + addresses).
@@ -184,96 +222,68 @@ class PartitionedBanks:
 
         Returns:
             The ``(penalty, max_bank, data_rows)`` outcome; also records
-            ``max_bank`` into :attr:`histogram` (Table 5).
+            ``max_bank`` into :attr:`histogram` (Table 5) and any
+            arbitration conflict.
         """
-        reg_counts = _reg_bank_counts(op.mrf_reads)
-        reg_max = max(reg_counts) if op.mrf_reads else 0
-        mem_max = 0
-        rows = 0
         if op.op.space is MemSpace.SHARED:
-            words = {(shared_base + a) // self.shared_bank_width for a in op.addrs}
-            bank_counts: dict[int, int] = {}
-            for w in words:
-                b = w % NUM_BANKS
-                bank_counts[b] = bank_counts.get(b, 0) + 1
-            mem_max = max(bank_counts.values(), default=0)
-            rows = len({(shared_base + a) // BANK_WIDTH for a in op.addrs})
+            penalty, max_bank, rows, arb = self.conflicts(op.mrf_reads, op.addrs, shared_base)
         elif op.op.is_memory:  # global / local through the cache
-            n_lines = len(segments) if segments is not None else 1
-            mem_max = n_lines  # every line sweeps all 32 banks once
-            rows = n_lines * (CACHE_LINE // BANK_WIDTH)
-        penalty = max(reg_max - 1, mem_max - 1, 0)
-        max_bank = max(reg_max, mem_max)
+            penalty, max_bank, rows, arb = self.conflicts(
+                op.mrf_reads, lines=[0] if segments is None else segments
+            )
+        else:
+            penalty, max_bank = register_conflicts(op.mrf_reads)
+            rows = arb = 0
         self.histogram.record(max_bank)
+        self.arbitration_conflicts += arb
         return BankAccess(penalty, max_bank, rows)
 
-    # -- plan-driven fast path --------------------------------------------
-    def planned_shared(self, pl, addrs, shared_base: int):
-        """Shared-memory outcome via the op's plan memo.
 
-        Returns ``(penalty, histogram_bucket, data_row_accesses, 0)``
-        exactly as :meth:`access` would compute it (the trailing 0 is
-        the arbitration-conflict flag, which the partitioned design
-        cannot have).  Word banks repeat every ``4 * NUM_BANKS`` bytes,
-        so the memo key is the CTA base offset modulo 128: shifting the
-        base by 128 shifts every word index by 32 banks (identity) and
-        every 16-byte row index by 8 (bijective), leaving penalty,
-        busiest-bank count, and row count unchanged.
+class PartitionedBanks(_BankModel):
+    """Conflict model for the hard-partitioned baseline (and Fermi-like)."""
+
+    def conflicts(self, mrf_reads, shared_addrs=None, shared_base=0, lines=None):
+        """Register and memory banks are separate structures in this
+        design, so the stall is simply the busiest port: the MRF bank
+        with the most operand reads, the shared-memory word bank with
+        the most distinct words, or the cache tag port serialising
+        multi-line accesses (Section 6.1's counting).  See
+        :meth:`_BankModel.conflicts` for the arguments.
         """
-        sw = self.shared_bank_width
-        key = ("P", shared_base % 128) if sw == 4 else ("P", sw, shared_base)
-        cached = pl.shared_cache.get(key)
-        if cached is None:
-            words = {(shared_base + a) // sw for a in addrs}
-            bank_counts: dict[int, int] = {}
-            for w in words:
-                b = w % NUM_BANKS
-                bank_counts[b] = bank_counts.get(b, 0) + 1
-            mem_max = max(bank_counts.values(), default=0)
-            rows = len({(shared_base + a) // BANK_WIDTH for a in addrs})
-            reg_max = pl.reg_max
-            penalty = max(reg_max - 1, mem_max - 1, 0)
-            cached = (penalty, _hist_bucket(max(reg_max, mem_max)), rows, 0)
-            pl.shared_cache[key] = cached
-        return cached
-
-    def planned_global(self, pl):
-        """Global/local outcome: fully precomputed on the plan."""
-        penalty, bucket, rows = pl.part_mem
-        return penalty, bucket, rows, 0
+        reg_max = max(_reg_bank_counts(mrf_reads))
+        mem_max = rows = 0
+        if shared_addrs is not None:
+            bank_counts = [0] * NUM_BANKS
+            for word in {(shared_base + a) // SHARED_WORD for a in shared_addrs}:
+                bank_counts[word % NUM_BANKS] += 1
+            mem_max = max(bank_counts)
+            rows = len({(shared_base + a) // BANK_WIDTH for a in shared_addrs})
+        elif lines is not None:
+            mem_max = len(lines)  # every line sweeps all 32 banks once
+            rows = mem_max * ROWS_PER_LINE
+        return max(reg_max - 1, mem_max - 1, 0), max(reg_max, mem_max), rows, 0
 
     def plan_key(self, shared_base: int):
-        """Everything a CTA's bank outcomes depend on beyond the plans.
+        """Everything a CTA's shared-memory outcomes depend on beyond the op.
 
-        Identical to the :meth:`planned_shared` memo key (global
-        outcomes are partition-independent here), so two CTA bases with
-        equal keys resolve every access identically -- the columnar
-        compiler keys whole warp programs on this.
+        Word banks repeat every ``SHARED_WORD * NUM_BANKS`` (128) bytes:
+        shifting the base by 128 shifts every word index by 32 banks
+        (identity) and every 16-byte row index by 8 (bijective), leaving
+        penalty, busiest-bank count, and row count unchanged.  Two CTA
+        bases with equal keys resolve every access identically.
         """
-        sw = self.shared_bank_width
-        return ("P", shared_base % 128) if sw == 4 else ("P", sw, shared_base)
+        return (type(self), shared_base % (SHARED_WORD * NUM_BANKS))
 
 
-class UnifiedBanks:
-    """Conflict model for the unified design (Sections 4.2-4.3).
-
-    Like :class:`PartitionedBanks`, exposes both the from-scratch
-    :meth:`access` interface and plan-driven ``planned_*`` lookups (see
-    :mod:`repro.compiler.precompute`); the planned paths skip histogram
-    and arbitration-counter updates, returning the would-be increments
-    for the simulator to accumulate.
-    """
-
-    _plan_tag = "U"
+class UnifiedBanks(_BankModel):
+    """Conflict model for the unified design (Sections 4.2-4.3)."""
 
     def __init__(self, partition: MemoryPartition) -> None:
         if partition.style is not DesignStyle.UNIFIED:
             raise ValueError("UnifiedBanks requires a unified partition")
-        self.partition = partition
-        self.histogram = ConflictHistogram()
+        super().__init__(partition)
         #: Shared region follows the register region within each bank.
         self.shared_region_base = partition.rf_bytes
-        self.arbitration_conflicts = 0
 
     # -- address mapping --------------------------------------------------
     def shared_row_location(self, addr: int) -> tuple[int, int, int]:
@@ -302,180 +312,65 @@ class UnifiedBanks:
             default=0,
         )
 
-    def access(
-        self,
-        op: CompiledOp,
-        shared_base: int = 0,
-        segments: list[int] | None = None,
-    ) -> BankAccess:
-        """Resolve one warp instruction's bank conflicts from scratch.
-
-        In the unified pool every access — register operand, shared
-        row, cache line — competes for the same 32 banks, so beyond the
+    def conflicts(self, mrf_reads, shared_addrs=None, shared_base=0, lines=None):
+        """In the unified pool every access -- register operand, shared
+        row, cache line -- competes for the same 32 banks, so beyond the
         per-port terms of the partitioned model this adds the *combined*
         per-bank load (registers plus memory on the same physical bank)
         and counts an arbitration conflict when that combination, not
         any single port, is what stalls the access (Section 4.2).
-
-        Args:
-            op: The compiled instruction (MRF operands + addresses).
-            shared_base: The CTA's scratchpad allocation offset within
-                the shared region (which itself follows the register
-                region in each bank).
-            segments: Pre-coalesced 128-byte line bases for global or
-                local ops (``None`` means one line).
-
-        Returns:
-            The ``(penalty, max_bank, data_rows)`` outcome; also records
-            the histogram bucket and any arbitration conflict.
+        Shared addresses are relative to ``shared_base`` within the
+        shared region, which itself follows the register region in each
+        bank.  See :meth:`_BankModel.conflicts` for the arguments.
         """
-        reg_counts = _reg_bank_counts(op.mrf_reads)
-        reg_max = max(reg_counts) if op.mrf_reads else 0
-        cluster_cycles = 0
-        tag_serial = 0
-        rows = 0
-        # per-bank memory access counts, cluster-resolved:
-        # combined[k] = worst-cluster count for bank-in-cluster k.
+        reg_counts = _reg_bank_counts(mrf_reads)
+        reg_max = max(reg_counts)
+        # serial: cycles a single port needs -- a cluster feeding the
+        # crossbar, or the tag port, which serialises the same lines.
+        serial = rows = 0
+        # The busiest physical bank, registers and memory combined.
         combined_max = reg_max
-        max_bank = reg_max
-        if op.op.space is MemSpace.SHARED:
+        if shared_addrs is not None:
             per_cluster: dict[int, dict[int, int]] = {}
             seen_rows: set[int] = set()
-            for a in op.addrs:
+            for a in shared_addrs:
                 c, k, g = self.shared_row_location(shared_base + a)
                 if g in seen_rows:
                     continue  # same 16-byte row: one bank access serves all
                 seen_rows.add(g)
-                per_cluster.setdefault(c, {}).setdefault(k, 0)
-                per_cluster[c][k] += 1
+                banks = per_cluster.setdefault(c, {})
+                banks[k] = banks.get(k, 0) + 1
             rows = len(seen_rows)
-            cluster_cycles = self._cluster_term(per_cluster)
+            serial = self._cluster_term(per_cluster)
             for banks in per_cluster.values():
                 for k, n in banks.items():
-                    total = n + reg_counts[k]
-                    if total > combined_max:
-                        combined_max = total
-                    if total > max_bank:
-                        max_bank = total
-        elif op.op.is_memory:  # global / local through the cache
-            lines = segments if segments is not None else [0]
-            tag_serial = len(lines)
-            rows = len(lines) * (CACHE_LINE // BANK_WIDTH)
+                    combined_max = max(combined_max, n + reg_counts[k])
+        elif lines is not None:
+            # Each line occupies every cluster once and one tag lookup.
+            serial = len(lines)
+            rows = serial * ROWS_PER_LINE
             lines_per_bank = [0] * BANKS_PER_CLUSTER
             for la in lines:
                 lines_per_bank[self.line_bank(la)] += 1
-            cluster_cycles = len(lines)  # each line occupies every cluster once
-            for k in range(BANKS_PER_CLUSTER):
-                if lines_per_bank[k] == 0:
-                    continue
-                total = lines_per_bank[k] + reg_counts[k]
-                if total > combined_max:
-                    combined_max = total
-                if total > max_bank:
-                    max_bank = total
-        penalty = max(reg_max - 1, cluster_cycles - 1, combined_max - 1, tag_serial - 1, 0)
-        if combined_max > max(reg_max, cluster_cycles, tag_serial):
-            self.arbitration_conflicts += 1
-        self.histogram.record(max_bank)
-        return BankAccess(penalty, max_bank, rows)
-
-    # -- plan-driven fast path --------------------------------------------
-    def planned_shared(self, pl, addrs, shared_base: int):
-        """Shared-memory outcome via the op's plan memo.
-
-        Returns ``(penalty, histogram_bucket, data_row_accesses,
-        arbitration_flag)``, exactly :meth:`access`'s outcome.  The
-        16-byte-row-to-(cluster, bank) mapping repeats every
-        ``NUM_BANKS * BANK_WIDTH = 512`` bytes of effective offset
-        (shifting the row index by 32 preserves ``row % 8`` and
-        ``(row // 8) % 4``), so the memo key is the effective base --
-        register-region size plus CTA offset -- modulo 512, namespaced
-        by the model variant (the cluster-port ablation counts cluster
-        cycles differently).
-        """
-        key = (self._plan_tag, (self.shared_region_base + shared_base) % 512)
-        cached = pl.shared_cache.get(key)
-        if cached is None:
-            reg_counts = pl.reg_counts
-            reg_max = pl.reg_max
-            per_cluster: dict[int, dict[int, int]] = {}
-            seen_rows: set[int] = set()
-            base = self.shared_region_base + shared_base
-            for a in addrs:
-                g = (base + a) // BANK_WIDTH
-                if g in seen_rows:
-                    continue
-                seen_rows.add(g)
-                c = g % NUM_CLUSTERS
-                k = (g // NUM_CLUSTERS) % BANKS_PER_CLUSTER
-                per_cluster.setdefault(c, {}).setdefault(k, 0)
-                per_cluster[c][k] += 1
-            rows = len(seen_rows)
-            cluster_cycles = self._cluster_term(per_cluster)
-            combined_max = reg_max
-            max_bank = reg_max
-            for banks in per_cluster.values():
-                for k, n in banks.items():
-                    total = n + reg_counts[k]
-                    if total > combined_max:
-                        combined_max = total
-                    if total > max_bank:
-                        max_bank = total
-            penalty = max(
-                reg_max - 1, cluster_cycles - 1, combined_max - 1, 0
-            )
-            arb = 1 if combined_max > max(reg_max, cluster_cycles, 0) else 0
-            cached = (penalty, _hist_bucket(max_bank), rows, arb)
-            pl.shared_cache[key] = cached
-        return cached
-
-    def planned_global(self, pl):
-        """Global/local outcome, memoised on the plan.
-
-        Partition-independent in the unified design: the line-to-bank
-        stripe (``(line // CACHE_LINE) % 4``) and the register operand
-        counts do not involve the partition split, and the tag-port and
-        cluster terms are plain line counts.  Both unified variants
-        share the slot because the global path never calls
-        :meth:`_cluster_term`.
-        """
-        cached = pl.uni_mem
-        if cached is None:
-            lines = pl.segments
-            n = pl.n_segments
-            reg_counts = pl.reg_counts
-            reg_max = pl.reg_max
-            lines_per_bank = [0] * BANKS_PER_CLUSTER
-            for la in lines:
-                lines_per_bank[(la // CACHE_LINE) % BANKS_PER_CLUSTER] += 1
-            combined_max = reg_max
-            max_bank = reg_max
-            for k in range(BANKS_PER_CLUSTER):
-                lp = lines_per_bank[k]
-                if lp == 0:
-                    continue
-                total = lp + reg_counts[k]
-                if total > combined_max:
-                    combined_max = total
-                if total > max_bank:
-                    max_bank = total
-            # cluster_cycles == tag_serial == n on this path.
-            penalty = max(reg_max - 1, n - 1, combined_max - 1, 0)
-            arb = 1 if combined_max > max(reg_max, n) else 0
-            rows = n * (CACHE_LINE // BANK_WIDTH)
-            cached = (penalty, _hist_bucket(max_bank), rows, arb)
-            pl.uni_mem = cached
-        return cached
+            for k, n in enumerate(lines_per_bank):
+                if n:
+                    combined_max = max(combined_max, n + reg_counts[k])
+        penalty = max(reg_max - 1, serial - 1, combined_max - 1, 0)
+        arb = 1 if combined_max > max(reg_max, serial) else 0
+        return penalty, combined_max, rows, arb
 
     def plan_key(self, shared_base: int):
-        """Everything a CTA's bank outcomes depend on beyond the plans.
+        """Everything a CTA's shared-memory outcomes depend on beyond the op.
 
-        Matches the :meth:`planned_shared` memo key -- the model tag
-        distinguishes the cluster-port ablation, and the effective base
-        modulo the 512-byte bank pattern period pins the shared
-        outcomes; global outcomes are partition-independent.
+        The 16-byte-row-to-(cluster, bank) mapping repeats every
+        ``NUM_BANKS * BANK_WIDTH`` (512) bytes of effective offset
+        (shifting the row index by 32 preserves ``row % 8`` and
+        ``(row // 8) % 4``), so the key is the effective base --
+        register-region size plus CTA offset -- modulo 512, with the
+        model's class (the cluster-port ablation counts cluster cycles
+        differently).
         """
-        return (self._plan_tag, (self.shared_region_base + shared_base) % 512)
+        return (type(self), (self.shared_region_base + shared_base) % (NUM_BANKS * BANK_WIDTH))
 
 
 class ClusterPortUnifiedBanks(UnifiedBanks):
@@ -488,8 +383,6 @@ class ClusterPortUnifiedBanks(UnifiedBanks):
     conflict model of Section 6.1 -- which is why the relaxed counting in
     :class:`UnifiedBanks` is our default and this class is the ablation.
     """
-
-    _plan_tag = "UC"
 
     def _cluster_term(self, per_cluster_bank_rows: dict[int, dict[int, int]]) -> int:
         return max(

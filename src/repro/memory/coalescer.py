@@ -33,6 +33,20 @@ def coalesce_sectors(addrs: Iterable[int], sector_bytes: int = SECTOR_BYTES) -> 
     return sorted({a - a % sector_bytes for a in addrs})
 
 
+def sectors_per_line(addrs: Iterable[int], line_bytes: int = LINE_BYTES) -> tuple[int, ...]:
+    """Distinct sectors of a warp access in each line it touches.
+
+    One count per line of :func:`coalesce_lines`, in ascending line
+    order: with a cache in front, the memory controller combines a
+    store's write-through traffic into one DRAM burst per touched line.
+    """
+    per_line: dict[int, int] = {}
+    for sector in coalesce_sectors(addrs):
+        line = sector - sector % line_bytes
+        per_line[line] = per_line.get(line, 0) + 1
+    return tuple(per_line.values())
+
+
 def sectors_in_line(line_base: int, line_bytes: int = LINE_BYTES,
                     sector_bytes: int = SECTOR_BYTES) -> int:
     """DRAM transactions needed to fill one cache line."""

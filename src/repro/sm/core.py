@@ -15,25 +15,17 @@ it shares, and require bit-identical results and payloads.
 
 :func:`run_event` pops the earliest-ready warp from one global heap,
 serialises it on its core's issue port, resolves its instruction
-against that core's bank model / cache / DRAM port, and schedules the
-warp's next readiness.  Each warp instruction is visited exactly once,
-so the loop runs in ``O(total_ops * log(resident_warps))``; the first
-simulation of a kernel additionally pays a one-time
-``O(total_ops * warp_width)`` planning pass
-(:mod:`repro.compiler.precompute`) whose tables every later simulation
-of the same :class:`CompiledKernel` reuses.
-
-The loop dispatches on the plan's dense ``kind`` int instead of the
-``op.op.space`` / ``is_load`` enum-property chain, resolves bank
-outcomes through the bank model's ``planned_*`` memo lookups, and
-accumulates histogram buckets, arbitration conflicts, and energy events
-in per-core counters that are merged into the :class:`ConflictHistogram`
-/ :class:`~repro.sm.result.EnergyCounts` once per run.  All of this is
-strictly a constant-factor optimisation: every simulated quantity --
-cycles, conflict histogram, cache stats, DRAM traffic and request
-ordering, energy counts, stall attribution -- is bit-identical to the
-straightforward per-access evaluation, which the golden-result tests
-(``tests/integration/test_golden_results.py``) pin end to end.
+against that core's component models, and schedules the warp's next
+readiness.  Each warp instruction is visited exactly once, so the loop
+runs in ``O(total_ops * log(resident_warps))``.  It computes every op
+from scratch, dispatching on the op's class (``space``, ``is_load``):
+bank outcomes from the bank model's ``access()``, which records the
+conflict histogram and arbitration count itself; line segments, DRAM
+sectors and write-through bursts from :mod:`repro.memory.coalescer`;
+then the cache, MSHR file and DRAM port.  It reads no op plan, memo or
+lowering cache, so replay's planning and lowering
+(:mod:`repro.compiler.columnar`) are checked against a model they do
+not share.
 """
 
 from __future__ import annotations
@@ -42,17 +34,11 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.compiler.compiled import CompiledKernel, CompiledOp
-from repro.compiler.precompute import (
-    K_BARRIER,
-    K_GLOBAL_LOAD,
-    K_SHARED_LOAD,
-    K_SHARED_STORE,
-    K_TEX,
-    plan_kernel,
-)
 from repro.core.partition import MemoryPartition
+from repro.isa.opcodes import MemSpace, OpClass
 from repro.memory.banks import make_bank_model
 from repro.memory.cache import DataCache
+from repro.memory.coalescer import coalesce_lines, coalesce_sectors, sectors_per_line
 from repro.obs.collector import (
     CAUSE_BARRIER,
     CAUSE_MEMORY,
@@ -172,7 +158,8 @@ class SMCore:
     def result(self, finish_at: float) -> SimResult:
         """This core's :class:`SimResult` after a loop has drained it.
 
-        Merges the run counters into the bank model's histogram and the
+        Merges the run counters into the bank model's histogram (which
+        the reference loop's ``access()`` calls fill directly) and the
         energy counts.  A live collector closes its books at
         ``finish_at``: the core's own end cycle single-SM, the chip
         makespan at chip scope (so per-SM stall attribution conserves
@@ -249,8 +236,6 @@ class _EventWarp:
     """A resident warp in the event loop, and the core it executes on."""
 
     ops: list[CompiledOp]
-    #: Per-op plans aligned with ``ops`` (see repro.compiler.precompute).
-    plans: list
     cta: ResidentCTA
     core: SMCore
     pc: int = 0
@@ -304,7 +289,6 @@ def run_event(
     every CTA hand-out and retirement.
     """
     line_bytes = cfg.cache_line_bytes
-    plans_k = plan_kernel(kernel, line_bytes)
 
     heap: list[tuple[float, int, _EventWarp]] = []
     seq = 0  # also advanced inline by the hot loop below
@@ -325,15 +309,8 @@ def run_event(
             chip_obs.cta_dispatch(
                 resident.index, core.index, now, core.scheduler.remaining
             )
-        warp_plans = plans_k[resident.index]
         for wi, cw in enumerate(resident.cta.warps):
-            w = _EventWarp(
-                ops=cw.ops,
-                plans=warp_plans[wi],
-                cta=resident,
-                core=core,
-                wid=core.warp_serial,
-            )
+            w = _EventWarp(ops=cw.ops, cta=resident, core=core, wid=core.warp_serial)
             core.warp_serial += 1
             if obs is not None:
                 obs.spawn(w.wid, resident.index, wi, now)
@@ -349,7 +326,11 @@ def run_event(
     # therefore the issue port itself).
     heappush = heapq.heappush
     heappop = heapq.heappop
-    lat_by_kind = (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
+    latency_of = {
+        OpClass.ALU: cfg.alu_latency,
+        OpClass.SFU: cfg.sfu_latency,
+        OpClass.TEX: cfg.tex_latency,
+    }
     shared_latency = cfg.shared_latency
     hit_latency = cfg.cache_hit_latency
     txn_bytes = cfg.dram_transaction_bytes
@@ -363,19 +344,18 @@ def run_event(
         t = ready if ready > core.issued_until else core.issued_until
         pc = w.pc
         op = w.ops[pc]
-        pl = w.plans[pc]
-        kind = pl.kind
+        op_class = op.op
         core.instructions += 1
         obs = core.obs
+        lat = latency_of.get(op_class)
 
-        if kind <= K_TEX:
+        if lat is not None:
             # ALU/SFU/TEX: register-bank conflicts stall operand fetch,
             # and with it the issue port.
-            penalty = pl.reg_penalty
-            core.hist[pl.reg_bucket] += 1
+            penalty = core.banks.access(op).penalty
             issue_done = t + 1 + penalty
-            completion = issue_done + lat_by_kind[kind]
-        elif kind == K_BARRIER:
+            completion = issue_done + lat
+        elif op_class is OpClass.BARRIER:
             cta = w.cta
             cta.barrier_count += 1
             w.pc = pc + 1
@@ -409,46 +389,45 @@ def run_event(
             else:
                 cta.waiting_warps.append(w)
             continue
+        elif not op_class.is_memory:
+            raise ValueError(f"op class {op_class!r} cannot be timed by the SM simulator")
         else:
             # Memory instructions issue in one cycle; bank conflicts
             # serialise in the memory pipeline (other warps keep issuing).
             issue_done = t + 1
             wb_cause = CAUSE_RAW  # latency class of the writeback (obs)
             mshr_wait = 0.0  # cycles this op stalled for a free MSHR entry
-            if kind <= K_SHARED_STORE:
-                penalty, bucket, rows, arb = core.banks.planned_shared(
-                    pl, op.addrs, w.cta.shared_base
-                )
-                core.hist[bucket] += 1
-                core.arb_total += arb
-                if kind == K_SHARED_LOAD:
-                    core.shared_row_reads += rows
+            if op_class.space is MemSpace.SHARED:
+                access = core.banks.access(op, w.cta.shared_base)
+                penalty = access.penalty
+                if op_class.is_load:
+                    core.shared_row_reads += access.data_row_accesses
                 else:
-                    core.shared_row_writes += rows
+                    core.shared_row_writes += access.data_row_accesses
                 mem_port_free = core.mem_port_free
                 port_start = issue_done if issue_done > mem_port_free else mem_port_free
                 data_ready = port_start + penalty
                 core.mem_port_free = port_start + 1 + penalty
                 completion = data_ready + shared_latency
             else:  # global / local through the cache
-                penalty, bucket, rows, arb = core.banks.planned_global(pl)
-                core.hist[bucket] += 1
-                core.arb_total += arb
+                segments = coalesce_lines(op.addrs, line_bytes)
+                access = core.banks.access(op, segments=segments)
+                penalty = access.penalty
                 cache = core.cache
                 cache_enabled = cache.enabled
                 if cache_enabled:
                     # A 0 KB cache has no tag array, so a disabled cache
                     # must not accrue tag-lookup energy.
-                    core.tag_lookups += pl.n_segments
+                    core.tag_lookups += len(segments)
                 mem_port_free = core.mem_port_free
                 port_start = issue_done if issue_done > mem_port_free else mem_port_free
                 data_ready = port_start + penalty
                 core.mem_port_free = port_start + 1 + penalty
                 dram_request = core.dram.request
-                if kind == K_GLOBAL_LOAD:
+                if op_class.is_load:
                     completion = data_ready
                     if cache_enabled:
-                        core.cache_row_reads += rows
+                        core.cache_row_reads += access.data_row_accesses
                         cache_read = cache.read_line
                         mshr = core.mshr
                         if mshr is not None:
@@ -459,7 +438,7 @@ def run_event(
                             # no extra DRAM traffic; a full file stalls
                             # the LSU until the earliest fill retires.
                             cur = data_ready
-                            for seg in pl.segments:
+                            for seg in segments:
                                 hit = cache_read(seg)
                                 if obs is not None:
                                     obs.cache_access(cur, hit)
@@ -491,70 +470,51 @@ def run_event(
                                 # back-pressure); this also keeps the
                                 # DRAM request stream time-ordered.
                                 core.mem_port_free = cur
-                        elif obs is None:
-                            for seg in pl.segments:
-                                if cache_read(seg):
-                                    done = data_ready + hit_latency
-                                else:
-                                    done = dram_request(data_ready, line_bytes)
-                                    wb_cause = CAUSE_MEMORY
-                                if done > completion:
-                                    completion = done
                         else:
-                            for seg in pl.segments:
-                                if cache_read(seg):
+                            for seg in segments:
+                                hit = cache_read(seg)
+                                if hit:
                                     done = data_ready + hit_latency
-                                    obs.cache_access(data_ready, True)
                                 else:
                                     done = dram_request(data_ready, line_bytes)
                                     wb_cause = CAUSE_MEMORY
-                                    obs.cache_access(data_ready, False)
+                                if obs is not None:
+                                    obs.cache_access(data_ready, hit)
                                 if done > completion:
                                     completion = done
                     else:
                         wb_cause = CAUSE_MEMORY
-                        ns = pl.n_sectors
-                        if ns < 0:
-                            ns = pl.sector_info(op.addrs, line_bytes)[0]
-                        for _ in range(ns):
+                        for _ in coalesce_sectors(op.addrs):
                             done = dram_request(data_ready, txn_bytes)
                             if done > completion:
                                 completion = done
                 else:  # store: write-through, no-allocate, fire-and-forget
                     completion = None
                     if cache_enabled:
-                        core.cache_row_writes += rows
-                        cache_write = cache.write_line
-                        if obs is None:
-                            for seg in pl.segments:
-                                cache_write(seg)
-                        else:
-                            for seg in pl.segments:
-                                obs.cache_access(data_ready, cache_write(seg))
+                        core.cache_row_writes += access.data_row_accesses
+                        for seg in segments:
+                            hit = cache.write_line(seg)
+                            if obs is not None:
+                                obs.cache_access(data_ready, hit)
                         # With a cache in front, the memory controller
                         # combines write-through traffic into per-line
                         # bursts: one DRAM access per touched line.
-                        pls = pl.per_line_sectors
-                        if pls is None:
-                            pls = pl.sector_info(op.addrs, line_bytes)[1]
+                        bursts = sectors_per_line(op.addrs, line_bytes)
                         if core.mshr is not None:
                             # Non-blocking mode addresses the bursts so
                             # the DRAM row-buffer decode sees them.
-                            for seg, nsect in zip(pl.segments, pls):
+                            for seg, nsect in zip(segments, bursts):
                                 dram_request(data_ready, nsect * txn_bytes, seg)
                         else:
-                            for nsect in pls:
+                            for nsect in bursts:
                                 dram_request(data_ready, nsect * txn_bytes)
                     else:
-                        ns = pl.n_sectors
-                        if ns < 0:
-                            ns = pl.sector_info(op.addrs, line_bytes)[0]
-                        for _ in range(ns):
+                        for _ in coalesce_sectors(op.addrs):
                             dram_request(data_ready, txn_bytes)
 
         # ---- register file traffic -------------------------------------
-        core.mrf_reads += pl.n_mrf_reads
-        core.mrf_writes += pl.n_mrf_writes
+        core.mrf_reads += len(op.mrf_reads)
+        core.mrf_writes += len(op.mrf_writes)
         core.orf_reads += op.orf_reads
         core.orf_writes += op.orf_writes
         core.lrf_reads += op.lrf_reads
@@ -571,10 +531,10 @@ def run_event(
             # issue() reads the *old* pending entries for dependency
             # attribution, so it runs before writeback() (dst may appear
             # in srcs).
-            obs.issue(w.wid, op.op.name, op.srcs, ready, t, issue_done)
+            obs.issue(w.wid, op_class.name, op.srcs, ready, t, issue_done)
             if op.dst is not None:
-                if kind <= K_TEX:
-                    cause = CAUSE_MEMORY if kind == K_TEX else CAUSE_RAW
+                if lat is not None:
+                    cause = CAUSE_MEMORY if op_class is OpClass.TEX else CAUSE_RAW
                     obs.writeback(w.wid, op.dst, completion, cause, 0.0)
                 else:
                     # Memory-pipeline serialisation folded into this

@@ -1,6 +1,7 @@
 """Microbenchmark and CLI smoke tests (tiny scale, single repeat)."""
 
 from repro.bench.micro import (
+    bench_banks,
     bench_cache,
     bench_coalescer,
     bench_lower,
@@ -17,6 +18,17 @@ def test_component_benches_report_deterministic_meta():
     (cache_entry,) = bench_cache("tiny", repeats=1)
     assert cache_entry.meta["reads"] > 0
     assert 0 < cache_entry.meta["read_hits"] < cache_entry.meta["reads"]
+
+
+def test_bank_benches_count_outcomes():
+    part, uni = bench_banks("tiny", repeats=1)
+    assert (part.id, uni.id) == ("micro.banks.partitioned", "micro.banks.unified")
+    for entry in (part, uni):
+        meta = entry.meta
+        assert sum(meta["buckets"].values()) == meta["accesses"] > 0
+        assert meta["rows"] > 0
+    assert "arbitration" not in part.meta
+    assert uni.meta["penalty"] > 0 and uni.meta["arbitration"] > 0
 
 
 def test_trace_benches_agree_on_meta():

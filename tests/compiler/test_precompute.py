@@ -1,18 +1,18 @@
-"""Equivalence tests for the once-per-kernel precompute pass.
+"""Unit tests for the op plans columnar lowering precomputes.
 
 These pin the cycle-identity contract at the unit level: every value a
-plan caches, and every outcome a ``planned_*`` bank-model method
-returns, must equal what the from-scratch :meth:`access` interface
-computes -- across both designs, both unified variants, and unaligned
-CTA shared-memory base offsets (the first-fit allocator guarantees no
-alignment).  The end-to-end counterpart is
+plan (:class:`repro.compiler.columnar.OpPlan`) caches, and every bank
+outcome it memoises, must equal what the bank model's from-scratch
+:meth:`access` interface computes -- across both designs, both unified
+variants, and unaligned CTA shared-memory base offsets (the first-fit
+allocator guarantees no alignment).  The end-to-end counterparts are
+``tests/sm/test_engine_equivalence.py`` and
 ``tests/integration/test_golden_results.py``.
 """
 
 import pytest
 
-from repro.compiler.compiled import CompiledOp
-from repro.compiler.precompute import (
+from repro.compiler.columnar import (
     K_ALU,
     K_BARRIER,
     K_GLOBAL_LOAD,
@@ -22,9 +22,10 @@ from repro.compiler.precompute import (
     K_SFU,
     K_TEX,
     OpPlan,
-    hist_bucket,
-    plan_kernel,
+    _sig_table,
+    clear_plan_cache,
 )
+from repro.compiler.compiled import CompiledOp
 from repro.core import partitioned_baseline
 from repro.core.allocator import allocate_unified
 from repro.core.partition import KB
@@ -33,8 +34,10 @@ from repro.memory.banks import (
     ClusterPortUnifiedBanks,
     PartitionedBanks,
     UnifiedBanks,
+    hist_bucket,
+    register_conflicts,
 )
-from repro.memory.coalescer import coalesce_lines, coalesce_sectors
+from repro.memory.coalescer import coalesce_lines, coalesce_sectors, sectors_per_line
 
 #: CTA shared-base offsets covering aligned, word-, and byte-unaligned
 #: layouts plus values past each model's memo period (128 / 512 bytes).
@@ -58,7 +61,13 @@ def _op(opclass, *, dst=None, srcs=(), mrf_reads=(), addrs=None, mrf_writes=()):
 
 
 def _plan(op, line_bytes=128):
-    return OpPlan(op.op, op.mrf_reads, len(op.mrf_writes), op.addrs, line_bytes)
+    return OpPlan(op.op, op.mrf_reads, op.addrs, line_bytes)
+
+
+def _outcome(model, pl, shared_base):
+    """``pl``'s memoised outcome under the key lowering resolves it by."""
+    key = model.plan_key(shared_base) if pl.segments is None else type(model)
+    return pl.outcome(model, key, shared_base)
 
 
 def _models():
@@ -100,12 +109,11 @@ def test_untimeable_opclass_rejected():
 def test_register_facts_match_access():
     op = _op(OpClass.ALU, mrf_reads=(0, 4, 8, 1), mrf_writes=(2,))
     pl = _plan(op)
-    assert pl.reg_counts == [3, 1, 0, 0]
-    assert pl.reg_max == 3
+    # Bank 0 holds registers 0, 4 and 8: three reads, two stall cycles.
+    assert register_conflicts(op.mrf_reads) == (2, 3)
     assert pl.reg_penalty == 2
     assert pl.reg_bucket == hist_bucket(3)
-    assert pl.n_mrf_reads == 4
-    assert pl.n_mrf_writes == 1
+    assert pl.mrf_reads == (0, 4, 8, 1)
     for m in _models():
         ba = m.access(op)
         assert (pl.reg_penalty, pl.reg_bucket) == (
@@ -121,32 +129,33 @@ def test_global_plan_matches_coalescer():
     assert pl.segments == coalesce_lines(addrs, 128)
     assert pl.n_segments == len(pl.segments)
     # sector facts are deferred until a store/uncached-load needs them
-    assert pl.n_sectors == -1
     assert pl.per_line_sectors is None
     sectors = coalesce_sectors(addrs)
-    n_sectors, per_line_sectors = pl.sector_info(addrs, 128)
-    assert n_sectors == pl.n_sectors == len(sectors)
+    per_line_sectors = pl.line_sectors(128)
+    assert per_line_sectors is pl.per_line_sectors
     assert sum(per_line_sectors) == len(sectors)
     # per-line grouping replays the store path's ascending-line order
     per_line: dict[int, int] = {}
     for s in sectors:
         per_line[s - s % 128] = per_line.get(s - s % 128, 0) + 1
     assert pl.per_line_sectors == tuple(per_line.values())
+    assert sectors_per_line(addrs, 128) == pl.per_line_sectors
 
 
 def test_empty_addrs_memory_op_plans_cleanly():
     pl = _plan(_op(OpClass.STORE_GLOBAL, addrs=()))
     assert pl.n_segments == 0
-    assert pl.sector_info((), 128) == (0, ())
-    assert pl.part_mem == (0, hist_bucket(0), 0)
+    assert pl.line_sectors(128) == ()
+    part = _models()[0]
+    assert _outcome(part, pl, 0) == (0, hist_bucket(0), 0, 0)
     for m in _models():
-        got = m.planned_global(pl)
+        got = _outcome(m, pl, 0)
         ba = m.access(_op(OpClass.STORE_GLOBAL, addrs=()), segments=[])
         assert got == (ba.penalty, hist_bucket(ba.max_bank_accesses), 0, 0)
 
 
 # ---------------------------------------------------------------------------
-# planned_* equivalence over real kernels
+# memoised outcomes against access() over real kernels
 # ---------------------------------------------------------------------------
 
 
@@ -159,6 +168,7 @@ def _kernel_ops(kernel_name):
 
 @pytest.mark.parametrize("kernel_name", ["matrixmul", "needle", "bfs"])
 def test_planned_equals_access_on_kernel(kernel_name):
+    """Memo hits across :data:`SHARED_BASES` check each model's period."""
     ops = _kernel_ops(kernel_name)
     models = _models()
     checked = 0
@@ -170,13 +180,13 @@ def test_planned_equals_access_on_kernel(kernel_name):
                     before = getattr(m, "arbitration_conflicts", 0)
                     ba = m.access(op, shared_base=shared_base)
                     arb = getattr(m, "arbitration_conflicts", 0) - before
-                    got = m.planned_shared(pl, op.addrs, shared_base)
+                    got = _outcome(m, pl, shared_base)
                 elif pl.kind in (K_GLOBAL_LOAD, K_GLOBAL_STORE):
                     segs = coalesce_lines(op.addrs, 128)
                     before = getattr(m, "arbitration_conflicts", 0)
                     ba = m.access(op, segments=segs)
                     arb = getattr(m, "arbitration_conflicts", 0) - before
-                    got = m.planned_global(pl)
+                    got = _outcome(m, pl, shared_base)
                 else:
                     before = getattr(m, "arbitration_conflicts", 0)
                     ba = m.access(op)
@@ -193,47 +203,40 @@ def test_planned_equals_access_on_kernel(kernel_name):
 
 
 def test_shared_memo_keys_distinguish_models():
-    """The two unified variants must not share a shared-memory memo slot."""
+    """Each model gets its own memo slot: the two unified variants must
+    not share one, and a global outcome has one slot per model too."""
     addrs = tuple(4 * lane for lane in range(32))
     op = _op(OpClass.LOAD_SHARED, addrs=addrs, mrf_reads=(0, 4))
     pl = _plan(op)
-    part, uni, uni_cp = _models()
-    part.planned_shared(pl, addrs, 4)
-    uni.planned_shared(pl, addrs, 4)
-    uni_cp.planned_shared(pl, addrs, 4)
-    tags = {key[0] for key in pl.shared_cache}
-    assert tags == {"P", "U", "UC"}
+    gpl = _plan(_op(OpClass.LOAD_GLOBAL, addrs=addrs, mrf_reads=(0, 4)))
+    models = _models()
+    for m in models:
+        _outcome(m, pl, 4)
+        _outcome(m, gpl, 4)
+    classes = {PartitionedBanks, UnifiedBanks, ClusterPortUnifiedBanks}
+    assert len(pl.outcomes) == 3
+    assert {key[0] for key in pl.outcomes} == classes
+    assert set(gpl.outcomes) == classes
 
 
-def test_plan_kernel_caches_per_line_size():
-    from repro.experiments.runner import Runner
-
-    ck = Runner("tiny").compiled("vectoradd")
-    plans_a = plan_kernel(ck, 128)
-    plans_b = plan_kernel(ck, 128)
-    assert plans_a is plans_b  # cached on the kernel
-    plans_c = plan_kernel(ck, 64)
-    assert plans_c is not plans_a  # line size changes the coalescing
-    assert len(plans_a) == len(ck.ctas)
-    for cta, cta_plans in zip(ck.ctas, plans_a):
-        assert [len(wp) for wp in cta_plans] == [len(w.ops) for w in cta.warps]
-
-
-def test_plan_kernel_interns_identical_ops():
-    from repro.compiler.precompute import clear_plan_cache
+def test_lowering_interns_identical_ops():
     from repro.experiments.runner import Runner
 
     clear_plan_cache()
     runner = Runner("tiny")
     ck = runner.compiled("matrixmul")
-    plans = plan_kernel(ck, 128)
+    table = _sig_table(ck, 128)
     by_key: dict[tuple, OpPlan] = {}
     total = 0
-    for cta, cta_plans in zip(ck.ctas, plans):
-        for warp, warp_plans in zip(cta.warps, cta_plans):
-            for op, pl in zip(warp.ops, warp_plans):
+    for cta, row in zip(ck.ctas, table):
+        for warp, (low, mem_plans) in zip(cta.warps, row):
+            plans = list(low.plans)
+            for (pc, *_), pl in zip(low.mem, mem_plans):
+                plans[pc] = pl
+            assert None not in plans
+            for op, pl in zip(warp.ops, plans):
                 total += 1
-                key = (pl.kind, op.mrf_reads, len(op.mrf_writes), op.addrs)
+                key = (pl.kind, op.mrf_reads, op.addrs)
                 assert by_key.setdefault(key, pl) is pl  # equal key -> same plan
     assert len(by_key) < total  # loop-heavy kernels repeat patterns
 
@@ -243,6 +246,8 @@ def test_plan_kernel_interns_identical_ops():
 
     ck2 = compile_kernel(runner.trace("matrixmul"))
     assert ck2 is not ck
-    plans2 = plan_kernel(ck2, 128)
-    assert plans2[0][0][0] is plans[0][0][0]
+    (low, mem_plans), (low2, mem_plans2) = table[0][0], _sig_table(ck2, 128)[0][0]
+    assert low2 is not low  # shape lowerings are per kernel
+    assert mem_plans2[0] is mem_plans[0]
+    assert next(p for p in low2.plans if p) is next(p for p in low.plans if p)
     clear_plan_cache()

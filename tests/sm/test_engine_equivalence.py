@@ -9,22 +9,39 @@ kernels x partitions x MSHR settings, single-SM and chip scope,
 compared field for field.  The ``@spill`` arms compile a kernel at
 5/8 of its peak liveness, so fills and spills (thousands of local-memory
 ops for dgemm and lu) reach both loops through their own lowering.
+
+The reference computes every op from the component models (the bank
+model's ``access()``, the coalescer, cache, DRAM and MSHRs) and shares
+no plan or memo with replay, so this sweep also checks planning and
+lowering.  The partitions cover every bank model: the baseline and a
+Fermi-like split (partitioned), and the unified design under both its
+per-bank conflict model and the strict cluster-port ablation
+(``@clusterport``).
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 
 from repro.chip.config import ChipConfig
 from repro.chip.simulator import simulate_chip
-from repro.core import partitioned_baseline
+from repro.core import fermi_like, partitioned_baseline
 from repro.experiments.runner import Runner
+from repro.isa import WarpOp
+from repro.isa.opcodes import OpClass
+from repro.obs import ChipCollector, Collector
 from repro.sm.simulator import simulate
-from tests.util import reference_loop
+from tests.util import (
+    compiled,
+    reference_loop,
+    single_warp_kernel,
+    warp_alu_chain,
+)
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 SPILL_KERNELS = ("dgemm@spill", "lu@spill", "needle@spill", "bfs@spill")
-PARTITIONS = ("baseline", "unified384")
+PARTITIONS = ("baseline", "fermi0", "unified384", "unified384@clusterport")
 MSHRS = (0, 4)
 
 
@@ -45,14 +62,16 @@ def _compiled(runner, kernel):
 def _partition(runner, kernel, name):
     if name == "baseline":
         return partitioned_baseline()
+    if name == "fermi0":
+        return fermi_like(0)
     try:
         return runner.allocation(kernel.partition("@")[0]).partition
     except Exception:
         pytest.skip(f"{kernel} has no unified-384 allocation at this scale")
 
 
-def _config(runner, mshr):
-    cfg = runner.config
+def _config(runner, mshr, cluster_port=False):
+    cfg = replace(runner.config, cluster_port_banks=cluster_port)
     if mshr:
         # Banked open-page timing alongside the MSHRs, as the memsys
         # experiments run it -- the replayer's hardest arm.
@@ -68,7 +87,7 @@ def _config(runner, mshr):
 def test_engines_bit_identical(runner, kernel, part_name, mshr):
     ck = _compiled(runner, kernel)
     part = _partition(runner, kernel, part_name)
-    cfg = _config(runner, mshr)
+    cfg = _config(runner, mshr, cluster_port=part_name.endswith("@clusterport"))
     with reference_loop():
         event = simulate(ck, part, cfg)
     columnar = simulate(ck, part, cfg)
@@ -99,3 +118,41 @@ def test_engines_bit_identical_at_chip_scope(runner, kernel, mshr):
     assert columnar.ctas_per_sm == event.ctas_per_sm
     assert columnar.dram_channel_bytes == event.dram_channel_bytes
     assert columnar.notes == event.notes
+
+
+def test_reference_loop_plans_nothing(monkeypatch):
+    """The reference shares no plan, memo or lowering cache with replay."""
+    from repro.compiler import columnar
+
+    calls = []
+    real = columnar.intern_plan
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(columnar, "intern_plan", spy)
+    # A fresh runner: the kernel below has never been simulated.
+    rn = Runner("tiny")
+    ck = rn.compiled("needle")
+    chip = ChipConfig(
+        num_sms=2, dram_bytes_per_cycle=32.0, dram_channels=2, sm=rn.config
+    )
+    with reference_loop():
+        for part in (partitioned_baseline(), rn.allocation("needle").partition):
+            simulate(ck, part, rn.config)
+            simulate(ck, part, rn.config, collector=Collector(metrics_window=500))
+            simulate_chip(ck, part, chip)
+            simulate_chip(
+                ck, part, chip, chip_collector=ChipCollector(2, 2, metrics_window=500)
+            )
+    assert ck._plan_cache == {}
+    assert calls == []
+
+
+@pytest.mark.parametrize("loop", ("replay", "reference"))
+def test_untimeable_op_class_fails_on_both_loops(loop):
+    ck = compiled(single_warp_kernel([*warp_alu_chain(3), WarpOp(OpClass.EXIT)]))
+    with reference_loop() if loop == "reference" else nullcontext():
+        with pytest.raises(ValueError, match="cannot be timed"):
+            simulate(ck, partitioned_baseline())
