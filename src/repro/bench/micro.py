@@ -2,11 +2,12 @@
 
 Each benchmark exercises one hot path -- the bank-conflict models, the
 coalescer, the data cache, trace generation and loading, columnar
-lowering, or a full :func:`repro.sm.simulate` call --
-on a fixed synthetic or compiled workload, so timing differences between
-two revisions reflect code changes, not input drift.  The returned
-metadata pins deterministic facts (op counts, simulated cycles) that
-must agree between payloads of behaviour-identical revisions.
+lowering, a full :func:`repro.sm.simulate` call, or a plain four-SM
+:func:`repro.chip.simulate_chip` run -- on a fixed synthetic or compiled
+workload, so timing differences between two revisions reflect code
+changes, not input drift.  The returned metadata pins deterministic
+facts (op counts, simulated cycles) that must agree between payloads of
+behaviour-identical revisions.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ def bench_lower(scale: str, repeats: int) -> list[BenchEntry]:
 
 
 def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
-    """Time full ``simulate()`` calls per kernel under two designs.
+    """Time full ``simulate()`` calls per kernel under two designs, and
+    plain four-SM ``simulate_chip()`` runs.
 
     Each entry's first run is cold (pays any per-kernel precomputation);
     subsequent runs re-simulate the same :class:`CompiledKernel`, which
@@ -259,6 +261,8 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
     """
     from dataclasses import replace
 
+    from repro.chip.config import ChipConfig
+    from repro.chip.simulator import simulate_chip
     from repro.core import partitioned_baseline
     from repro.experiments.runner import Runner
     from repro.sm.simulator import simulate
@@ -298,6 +302,23 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
         return {"cycles": r.cycles, "instructions": r.instructions}
 
     entries.append(timed("sim.matrixmul.nonblocking", run_nonblocking, repeats))
+
+    # Plain multi-SM replay: four SMs with the paper's per-SM bandwidth
+    # slice in total, on shared arbitrated channels and on private
+    # slices (the fast-DRAM path), so the plain frame's core swaps are
+    # timed too.
+    for suffix, part_dram in (("", False), (".partitioned", True)):
+        chip = ChipConfig(
+            num_sms=4, dram_bytes_per_cycle=4 * rn.config.dram_bytes_per_cycle,
+            dram_channels=2, dram_partitioned=part_dram, sm=rn.config,
+        )
+
+        def run_chip(chip=chip):
+            r = simulate_chip(ck, baseline, chip)
+            return {"cycles": r.cycles, "instructions": r.instructions,
+                    "sms": r.num_sms}
+
+        entries.append(timed(f"sim.matrixmul.chip4{suffix}", run_chip, repeats))
 
     # Instrumented run: the replay loop driving the full observability
     # stack (collector + stall attribution) on the non-blocking banked

@@ -40,18 +40,19 @@ every supported config, so float addition here is exact and replaying
 the same additions in the same order reproduces bit-equal cycles.
 
 :func:`run_columnar` is the loop both :func:`repro.sm.simulate` (one
-core) and :func:`repro.chip.simulate_chip` (N cores) run.  Each core
-steps its warps through a :func:`make_warp_runner` closure over the
-core's own cache, DRAM port, and MSHRs.  Instrumented runs (a live
-collector) replay too: :func:`make_warp_runner_obs` is the same
-arithmetic with the collector's hooks fired at exactly the event
-loop's call sites and with the same arguments, so stall attribution,
-interval metrics, and trace payloads are byte-identical per cause --
-the observability side of the bit-identity contract, enforced by
-``tests/obs/test_replay_observability.py``.  One core with nothing
-observing it runs :func:`_run_inlined`, the runner's body inlined into
-the loop's own frame; ``docs/architecture.md`` states which frame each
-simulation takes.
+core) and :func:`repro.chip.simulate_chip` (N cores) run, in one of two
+frames.  A launch that nothing observes runs :func:`_run_inlined`: one
+frame for any number of cores, holding the current core's issue clock,
+memory port, and inlined model counters in locals and swapping them
+only when the popped warp belongs to another core.  Instrumented runs
+(a live collector) replay too: each core steps its warps through a
+:func:`make_warp_runner_obs` closure, the same arithmetic with the
+collector's hooks fired at exactly the event loop's call sites and with
+the same arguments, so stall attribution, interval metrics, and trace
+payloads are byte-identical per cause -- the observability side of the
+bit-identity contract, enforced by
+``tests/obs/test_replay_observability.py``.  ``docs/architecture.md``
+states which frame each simulation takes.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ from repro.obs.collector import (
     CAUSE_ISSUE_PORT,
     CAUSE_MSHR_FULL,
     STALL_CAUSES,
+    Collector,
 )
 from repro.obs.trace import PID_WARPS
 from repro.sm.config import SMConfig
 from repro.sm.core import SMCore, SimulationError, fill_cores
 
-#: Runner outcome codes (see :func:`make_warp_runner`).
+#: Runner outcome codes (see :func:`make_warp_runner_obs`).
 YIELD = 0  # next op not ready before the heap's earliest other warp
 BARRIER = 1  # hit a barrier; CTA-level coordination needed
 DONE = 2  # warp retired
@@ -101,8 +103,9 @@ class _ColWarp:
         self.cta = cta
         self.pc = 0
         self.n_ops = prog.n_ops
-        #: Owning SM core (:class:`~repro.sm.core.SMCore`); the
-        #: single-core inlined frame leaves it unset.
+        #: Owning SM core (:class:`~repro.sm.core.SMCore`), read by the
+        #: instrumented loop; the plain frame carries the core in its
+        #: heap entries and leaves it unset.
         self.core = core
         #: Instrumented-replay state, set only when ``obs_rows`` (the
         #: :meth:`~repro.compiler.columnar.ShapeLowering.obs_rows` pair)
@@ -137,306 +140,18 @@ def _release_key(w: _ColWarp, release: float) -> float:
     return key
 
 
-def make_warp_runner(cfg: SMConfig, cache, dram, mshr):
-    """Build one SM core's warp runner over its memory system.
+def make_warp_runner_obs(cfg: SMConfig, cache, dram, mshr, obs):
+    """One core's instrumented warp runner: the plain frame's warp step
+    (:func:`_run_inlined`) plus a collector.
 
     Returns ``(run, state)``: ``run(w, ready, limit)`` replays warp
     ``w`` from cycle ``max(ready, issued_until)`` while its ops stay
     strictly below ``limit``, returning ``(code, value)`` --
     ``(YIELD, heap_key)``, ``(BARRIER, arrival_cycle)`` with the pc
     already advanced past the barrier, or ``(DONE, last_issue)``.
-    ``state()`` reports ``(issued_until, mem_port_free)`` for the
-    end-of-simulation cycle count.
-
-    The issue port and memory pipeline port are closure state -- the
-    two scalars the event loop keeps per core.  The op bodies here and
-    in :func:`_run_inlined` are line-for-line the same arithmetic;
-    :func:`run_columnar` calls this per core, and its one-core
-    unobserved case inlines it for one less frame per pop.
-    """
-    dram_request = dram.request
-    hit_latency = float(cfg.cache_hit_latency)
-    line_bytes = cfg.cache_line_bytes
-    txn_bytes = cfg.dram_transaction_bytes
-    desch_lat = cfg.deschedule_latency
-    desch_thr = cfg.deschedule_threshold if desch_lat else float("inf")
-    issued_until = 0.0
-    mem_port_free = 0.0
-    if mshr is not None:
-        mshr_outstanding = mshr.outstanding
-        mshr_entry_free = mshr.entry_free_at
-        mshr_allocate = mshr.allocate
-
-    # ---- inlined model fast paths -----------------------------------
-    # The cache probe (dict hit + LRU touch) and the unbanked DRAM bus
-    # arithmetic (two adds and a division) are a fraction of the cost
-    # of calling into the model objects, so the runner keeps both as
-    # local state and replays *the same arithmetic in the same order*
-    # -- bit-identical by construction -- writing the counters back
-    # through ``sync()``.  Banked or observed DRAM channels keep the
-    # model call (row-buffer state stays where it lives); the cache is
-    # always a plain DataCache here and is always inlined.
-    cache_sets = cache._sets
-    num_sets = cache.num_sets
-    cache_assoc = cache.assoc
-    stats = cache.stats
-    c_rhit = stats.read_hits
-    c_rmiss = stats.read_misses
-    c_whit = stats.write_hits
-    c_wmiss = stats.write_misses
-    # ``mshr is None`` keeps mixed accounting out: the MSHR branches
-    # route fills through ``dram.request`` (which bumps the model's own
-    # counters), and the write-back below would clobber those.
-    fast_dram = (
-        mshr is None
-        and type(dram) is DRAMChannel
-        and not dram._banked
-        and dram.observer is None
-    )
-    if fast_dram:
-        dram_free = dram.free_at
-        dram_acc = dram.accesses
-        dram_xfer = dram.bytes_transferred
-        dram_busy = dram.busy_cycles
-        dram_last = dram._last_request_time
-        dram_lat = float(dram.latency)
-        dram_bpc = dram.bytes_per_cycle
-        # Fixed-size transfers always divide the same operands, so the
-        # quotients are loop invariants (same division, same bits).
-        line_service = line_bytes / dram_bpc
-        txn_service = txn_bytes / dram_bpc
-    else:
-        # Placeholders; the slow branches never read these, and shared
-        # DRAMSystem ports don't expose the channel-only attributes.
-        dram_free = 0.0
-        dram_acc = dram_xfer = 0
-        dram_busy = dram_last = dram_lat = 0.0
-        dram_bpc = line_service = txn_service = 1.0
-
-    def sync():
-        """Flush inlined model counters back into the model objects."""
-        stats.read_hits = c_rhit
-        stats.read_misses = c_rmiss
-        stats.write_hits = c_whit
-        stats.write_misses = c_wmiss
-        if fast_dram:
-            dram.free_at = dram_free
-            dram.accesses = dram_acc
-            dram.bytes_transferred = dram_xfer
-            dram.busy_cycles = dram_busy
-            dram._last_request_time = dram_last
-
-    def state():
-        sync()
-        return issued_until, mem_port_free
-
-    def run(w: _ColWarp, ready: float, limit: float):
-        nonlocal issued_until, mem_port_free
-        nonlocal c_rhit, c_rmiss, c_whit, c_wmiss
-        nonlocal dram_free, dram_acc, dram_xfer, dram_busy, dram_last
-        rows = w.rows
-        comp = w.comp
-        pc = w.pc
-        mpf = mem_port_free
-        t = ready if ready > issued_until else issued_until
-        kind, a, b, aux, deps = rows[pc]
-        while True:
-            if kind == 0:  # ALU / SFU / TEX
-                issue_done = t + a
-                comp[pc] = t + b
-            elif kind != 6:  # memory: one issue cycle, conflicts
-                # serialise in the pipeline behind the single LSU port
-                issue_done = t + 1.0
-                port_start = issue_done if issue_done > mpf else mpf
-                if kind == 1:  # shared load / store
-                    mpf = port_start + a
-                    comp[pc] = port_start + b
-                else:
-                    data_ready = port_start + a
-                    mpf = port_start + b
-                    if kind == 2:  # global/local load through the cache
-                        completion = data_ready
-                        if mshr is None:  # legacy blocking miss model
-                            if fast_dram:
-                                for li in aux[1]:
-                                    ss = cache_sets[li % num_sets]
-                                    if li in ss:
-                                        ss.move_to_end(li)
-                                        c_rhit += 1
-                                        done = data_ready + hit_latency
-                                    else:
-                                        c_rmiss += 1
-                                        if len(ss) >= cache_assoc:
-                                            ss.popitem(last=False)
-                                        ss[li] = None
-                                        start = (
-                                            data_ready
-                                            if data_ready > dram_free
-                                            else dram_free
-                                        )
-                                        dram_free = start + line_service
-                                        dram_acc += 1
-                                        dram_xfer += line_bytes
-                                        dram_busy += line_service
-                                        dram_last = data_ready
-                                        done = (
-                                            start + dram_lat + line_service
-                                        )
-                                    if done > completion:
-                                        completion = done
-                            else:  # banked/observed DRAM keeps the call
-                                for li in aux[1]:
-                                    ss = cache_sets[li % num_sets]
-                                    if li in ss:
-                                        ss.move_to_end(li)
-                                        c_rhit += 1
-                                        done = data_ready + hit_latency
-                                    else:
-                                        c_rmiss += 1
-                                        if len(ss) >= cache_assoc:
-                                            ss.popitem(last=False)
-                                        ss[li] = None
-                                        done = dram_request(
-                                            data_ready, line_bytes
-                                        )
-                                    if done > completion:
-                                        completion = done
-                        else:  # non-blocking: merge secondaries, stall
-                            # on a full file, address the fills
-                            cur = data_ready
-                            for seg in aux[0]:
-                                li = seg // line_bytes
-                                ss = cache_sets[li % num_sets]
-                                if li in ss:
-                                    ss.move_to_end(li)
-                                    c_rhit += 1
-                                    hit = True
-                                else:
-                                    c_rmiss += 1
-                                    if len(ss) >= cache_assoc:
-                                        ss.popitem(last=False)
-                                    ss[li] = None
-                                    hit = False
-                                fill = mshr_outstanding(seg, cur)
-                                if fill is not None:
-                                    mshr.secondary_merges += 1
-                                    done = fill
-                                elif hit:
-                                    done = cur + hit_latency
-                                else:
-                                    free = mshr_entry_free(cur)
-                                    if free > cur:
-                                        mshr.full_stalls += 1
-                                        mshr.full_stall_cycles += free - cur
-                                        cur = free
-                                    done = dram_request(cur, line_bytes, seg)
-                                    mshr_allocate(seg, done, cur)
-                                if done > completion:
-                                    completion = done
-                            if cur > mpf:
-                                mpf = cur
-                        comp[pc] = completion
-                    elif kind == 3:  # uncached load: per-sector DRAM
-                        completion = data_ready
-                        if fast_dram:
-                            for _ in range(aux):
-                                start = (
-                                    data_ready if data_ready > dram_free
-                                    else dram_free
-                                )
-                                dram_free = start + txn_service
-                                dram_acc += 1
-                                dram_xfer += txn_bytes
-                                dram_busy += txn_service
-                                done = start + dram_lat + txn_service
-                                if done > completion:
-                                    completion = done
-                            dram_last = data_ready
-                        else:
-                            for _ in range(aux):
-                                done = dram_request(data_ready, txn_bytes)
-                                if done > completion:
-                                    completion = done
-                        comp[pc] = completion
-                    elif kind == 4:  # cached store: write-through bursts
-                        for li in aux[1]:
-                            ss = cache_sets[li % num_sets]
-                            if li in ss:
-                                ss.move_to_end(li)
-                                c_whit += 1
-                            else:
-                                c_wmiss += 1
-                        if fast_dram:
-                            for nb in aux[2]:
-                                start = (
-                                    data_ready if data_ready > dram_free
-                                    else dram_free
-                                )
-                                service = nb / dram_bpc
-                                dram_free = start + service
-                                dram_acc += 1
-                                dram_xfer += nb
-                                dram_busy += service
-                            dram_last = data_ready
-                        elif mshr is None:
-                            for nb in aux[2]:
-                                dram_request(data_ready, nb)
-                        else:
-                            for seg, nb in zip(aux[0], aux[2]):
-                                dram_request(data_ready, nb, seg)
-                        comp[pc] = issue_done
-                    else:  # kind == 5, uncached store
-                        if fast_dram:
-                            for _ in range(aux):
-                                start = (
-                                    data_ready if data_ready > dram_free
-                                    else dram_free
-                                )
-                                dram_free = start + txn_service
-                                dram_acc += 1
-                                dram_xfer += txn_bytes
-                                dram_busy += txn_service
-                            dram_last = data_ready
-                        else:
-                            for _ in range(aux):
-                                dram_request(data_ready, txn_bytes)
-                        comp[pc] = issue_done
-            else:  # BARRIER: hand back for CTA coordination
-                w.pc = pc + 1
-                issued_until = t + 1.0
-                mem_port_free = mpf
-                return 1, t
-            pc += 1
-            kind, a, b, aux, deps = rows[pc]
-            nr = issue_done
-            if deps:
-                for d in deps:
-                    c = comp[d]
-                    if c > nr:
-                        nr = c
-            elif deps is None:  # R_END sentinel: warp retired
-                w.pc = pc
-                issued_until = issue_done
-                mem_port_free = mpf
-                return 2, issue_done
-            if desch_lat and nr - issue_done > desch_thr:
-                nr += desch_lat
-            if nr < limit:
-                # The warp would pop next anyway (strictly earliest
-                # key; ties lose to older sequence numbers): keep
-                # replaying inline.
-                t = nr
-                continue
-            w.pc = pc
-            issued_until = issue_done
-            mem_port_free = mpf
-            return 0, nr
-
-    return run, state
-
-
-def make_warp_runner_obs(cfg: SMConfig, cache, dram, mshr, obs):
-    """Instrumented warp runner: :func:`make_warp_runner` plus a collector.
+    ``state()`` flushes the inlined cache counters back into the model
+    and reports ``(issued_until, mem_port_free)``, the two clocks the
+    event loop keeps per core.
 
     Identical timing arithmetic, with the :class:`~repro.obs.Collector`
     semantics *inlined* rather than called: the attribution expressions
@@ -449,13 +164,15 @@ def make_warp_runner_obs(cfg: SMConfig, cache, dram, mshr, obs):
     the equivalence per stall cause; any edit to ``Collector`` must be
     mirrored here.
 
-    Deltas against the uninstrumented runner:
+    Deltas against the plain frame:
 
     * No ``fast_dram`` arm: instrumented channels carry the collector's
       transfer observer, which routes every request through the model
       call anyway (that call is where DRAM trace slices originate, in
       the event engine's order: transfers fire during op modelling,
-      before the op's own stall/issue slices).
+      before the op's own stall/issue slices).  A core attributing
+      into a private collector makes the same call, whose arithmetic
+      the fast path only mirrors.
     * The op's ``ready`` / grant time ``t`` pair feeds the attribution
       carve: for a popped warp they are the heap key and
       ``max(ready, issued_until)``; for a run-batched op both collapse
@@ -494,7 +211,7 @@ def make_warp_runner_obs(cfg: SMConfig, cache, dram, mshr, obs):
         mshr_entry_free = mshr.entry_free_at
         mshr_allocate = mshr.allocate
 
-    # Inlined cache probe as in make_warp_runner (same arithmetic, same
+    # Inlined cache probe as in _run_inlined (same arithmetic, same
     # order); the hit/miss boolean doubles as the cache_access sample.
     cache_sets = cache._sets
     num_sets = cache.num_sets
@@ -833,41 +550,35 @@ def run_columnar(
 
     One global heap of ``(ready, seq, warp)`` entries keyed exactly as
     :func:`repro.sm.core.run_event` keys them; each popped warp replays
-    on its owning core's :func:`make_warp_runner` closure while its next
-    ready time stays strictly below the earliest other entry, so the
-    issue order is unchanged.  Static per-CTA totals are folded into the
-    core counters once at the end, and ``state()`` flushes each runner's
-    inlined cache/DRAM counters back into the model objects
-    :meth:`~repro.sm.core.SMCore.result` reads.
+    while its next ready time stays strictly below the earliest other
+    entry, so the issue order is unchanged.  Static per-CTA totals are
+    folded into the core counters once at the end.
 
-    Observability rides the same loop: a core with a live collector
-    gets the instrumented runner (:func:`make_warp_runner_obs`), and the
-    CTA choreography below fires ``cta_launch`` / ``spawn`` / ``resume``
-    / ``complete`` / ``cta_retire`` plus the chip collector's
-    ``cta_dispatch`` / ``cta_retire`` taps in exactly the event loop's
-    order; DRAM-window taps fire from the channel observers wired at
-    core construction, which the instrumented runner always routes
-    requests through.
-
-    A launch on one core that nothing observes runs
-    :func:`_run_inlined` instead: the same warp-step body, in one frame.
+    A launch that nothing observes runs :func:`_run_inlined`, one frame
+    for any number of cores.  The loop below serves instrumented runs:
+    every core replays on its own :func:`make_warp_runner_obs` closure,
+    and the CTA choreography fires ``cta_launch`` / ``spawn`` /
+    ``resume`` / ``complete`` / ``cta_retire`` plus the chip
+    collector's ``cta_dispatch`` / ``cta_retire`` taps in exactly the
+    event loop's order; DRAM-window taps fire from the channel
+    observers wired at core construction, which the instrumented runner
+    always routes requests through.  A core with no collector of its own
+    (a mixed ``collectors=[Collector(), None, ...]`` chip run) attributes
+    into a private :class:`~repro.obs.Collector` that nothing reads, so
+    its :class:`SMCore` still reports no stalls.
     """
-    if len(cores) == 1 and cores[0].obs is None and chip_obs is None:
-        _run_inlined(kernel, cfg, cores[0])
+    if chip_obs is None and all(core.obs is None for core in cores):
+        _run_inlined(kernel, cfg, cores)
         return
     heappush = heapq.heappush
     heappop = heapq.heappop
     barrier_latency = cfg.barrier_latency
+    sinks = [core.obs if core.obs is not None else Collector() for core in cores]
     runners = []
     states = []
     spawned: list[list] = []
-    for core in cores:
-        if core.obs is not None:
-            run, state = make_warp_runner_obs(
-                cfg, core.cache, core.dram, core.mshr, core.obs
-            )
-        else:
-            run, state = make_warp_runner(cfg, core.cache, core.dram, core.mshr)
+    for core, obs in zip(cores, sinks):
+        run, state = make_warp_runner_obs(cfg, core.cache, core.dram, core.mshr, obs)
         runners.append(run)
         states.append(state)
         spawned.append([])
@@ -888,29 +599,22 @@ def run_columnar(
             core.cache.enabled,
             resident.index,
         )
-        obs = core.obs
-        if obs is not None:
-            obs.cta_launch(resident.index, now, len(progs))
+        obs = sinks[core.index]
+        obs.cta_launch(resident.index, now, len(progs))
         if chip_obs is not None:
             chip_obs.cta_dispatch(
                 resident.index, core.index, now, core.scheduler.remaining
             )
-        if obs is not None:
-            for wi, prog in enumerate(progs):
-                w = _ColWarp(
-                    prog, resident, core, wid=core.warp_serial,
-                    obs_rows=prog.shape.obs_rows(),
-                )
-                core.warp_serial += 1
-                obs.spawn(w.wid, resident.index, wi, now)
-                w.ws = obs.warps[w.wid]
-                heappush(heap, (now, seq, w))
-                seq += 1
-        else:
-            for prog in progs:
-                w = _ColWarp(prog, resident, core)
-                heappush(heap, (now, seq, w))
-                seq += 1
+        for wi, prog in enumerate(progs):
+            w = _ColWarp(
+                prog, resident, core, wid=core.warp_serial,
+                obs_rows=prog.shape.obs_rows(),
+            )
+            core.warp_serial += 1
+            obs.spawn(w.wid, resident.index, wi, now)
+            w.ws = obs.warps[w.wid]
+            heappush(heap, (now, seq, w))
+            seq += 1
         spawned[core.index].append(ctot)
         return True
 
@@ -927,11 +631,10 @@ def run_columnar(
             heappush(heap, (value, seq, w))
             seq += 1
             continue
+        obs = sinks[core.index]
         if code == DONE:
             # Warp drained at cycle ``value``.
-            obs = core.obs
-            if obs is not None:
-                obs.complete(w.wid, value)
+            obs.complete(w.wid, value)
             cta = w.cta
             cta.warps_outstanding -= 1
             if cta.warps_outstanding == 0:
@@ -940,8 +643,7 @@ def run_columnar(
                         f"CTA {cta.index} finished with warps still at a barrier"
                     )
                 core.scheduler.retire(cta)
-                if obs is not None:
-                    obs.cta_retire(cta.index, value)
+                obs.cta_retire(cta.index, value)
                 if chip_obs is not None:
                     chip_obs.cta_retire(cta.index, core.index, value)
                 core.live_ctas -= 1
@@ -956,22 +658,18 @@ def run_columnar(
             waiting = cta.waiting_warps
             cta.waiting_warps = []
             release = value + 1 + barrier_latency
-            obs = core.obs
             for other in (*waiting, w):
-                if obs is not None:
-                    obs.resume(other.wid, release, CAUSE_BARRIER)
+                obs.resume(other.wid, release, CAUSE_BARRIER)
                 if other.pc < other.n_ops:
                     heappush(heap, (_release_key(other, release), seq, other))
                     seq += 1
                 else:
                     # A warp whose last instruction is a barrier.
                     cta.warps_outstanding -= 1
-                    if obs is not None:
-                        obs.complete(other.wid, release)
+                    obs.complete(other.wid, release)
             if cta.warps_outstanding == 0:
                 core.scheduler.retire(cta)
-                if obs is not None:
-                    obs.cta_retire(cta.index, release)
+                obs.cta_retire(cta.index, release)
                 if chip_obs is not None:
                     chip_obs.cta_retire(cta.index, core.index, release)
                 core.live_ctas -= 1
@@ -985,50 +683,20 @@ def run_columnar(
         core.issued_until, core.mem_port_free = states[core.index]()
 
 
-def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
-    """:func:`run_columnar` for one core with nothing observing it.
+def _plain_handles(core: SMCore, line_bytes: int, txn_bytes: int) -> tuple:
+    """One core's fixed handles, unpacked at :func:`_run_inlined`'s swap site.
 
-    The warp-step body is :func:`make_warp_runner`'s, inlined into this
-    frame so a pop costs no Python call and the issue/memory clocks and
-    inlined model counters are plain locals rather than closure cells;
-    the closure runner is about 1.3x slower on single-SM sweeps, which
-    spend nearly all their simulated instructions here.
+    ``(cache sets, cache stats, DRAM port, its request method,
+    fast_dram, DRAM latency, bytes per cycle, line and transaction
+    service times, MSHR file, its outstanding / entry_free_at /
+    allocate methods)``.  ``fast_dram`` marks a private flat-FCFS
+    channel whose arithmetic the frame inlines; ``mshr is None`` is part
+    of it to keep mixed accounting out: the MSHR branches route fills
+    through ``dram.request`` (which bumps the model's own counters), and
+    the write-back would clobber those.
     """
-    scheduler = core.scheduler
-    banks = core.banks
-    cache = core.cache
     dram = core.dram
     mshr = core.mshr
-    cache_enabled = cache.enabled
-    barrier_latency = cfg.barrier_latency
-
-    dram_request = dram.request
-    hit_latency = float(cfg.cache_hit_latency)
-    line_bytes = cfg.cache_line_bytes
-    txn_bytes = cfg.dram_transaction_bytes
-    desch_lat = cfg.deschedule_latency
-    desch_thr = cfg.deschedule_threshold if desch_lat else float("inf")
-    if mshr is not None:
-        mshr_outstanding = mshr.outstanding
-        mshr_entry_free = mshr.entry_free_at
-        mshr_allocate = mshr.allocate
-
-    # Inlined model fast paths -- see make_warp_runner for the
-    # contract: same arithmetic in the same order as the model
-    # methods, counters kept in locals and written back after the
-    # loop.  ``fast_dram`` keeps banked/observed channels on the
-    # method call so row-buffer state stays in the model.
-    cache_sets = cache._sets
-    num_sets = cache.num_sets
-    cache_assoc = cache.assoc
-    stats = cache.stats
-    c_rhit = stats.read_hits
-    c_rmiss = stats.read_misses
-    c_whit = stats.write_hits
-    c_wmiss = stats.write_misses
-    # ``mshr is None`` keeps mixed accounting out: the MSHR branches
-    # route fills through ``dram.request`` (which bumps the model's own
-    # counters), and the write-back below would clobber those.
     fast_dram = (
         mshr is None
         and type(dram) is DRAMChannel
@@ -1036,37 +704,75 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
         and dram.observer is None
     )
     if fast_dram:
-        dram_free = dram.free_at
-        dram_acc = dram.accesses
-        dram_xfer = dram.bytes_transferred
-        dram_busy = dram.busy_cycles
-        dram_last = dram._last_request_time
-        dram_lat = float(dram.latency)
-        dram_bpc = dram.bytes_per_cycle
+        bpc = dram.bytes_per_cycle
         # Fixed-size transfers always divide the same operands, so the
         # quotients are loop invariants (same division, same bits).
-        line_service = line_bytes / dram_bpc
-        txn_service = txn_bytes / dram_bpc
+        dram_consts = (float(dram.latency), bpc, line_bytes / bpc, txn_bytes / bpc)
     else:
         # Placeholders; the slow branches never read these, and shared
         # DRAMSystem ports don't expose the channel-only attributes.
-        dram_free = 0.0
-        dram_acc = dram_xfer = 0
-        dram_busy = dram_last = dram_lat = 0.0
-        dram_bpc = line_service = txn_service = 1.0
+        dram_consts = (0.0, 1.0, 1.0, 1.0)
+    if mshr is not None:
+        mshr_calls = (mshr.outstanding, mshr.entry_free_at, mshr.allocate)
+    else:
+        mshr_calls = (None, None, None)
+    return (
+        core.cache._sets, core.cache.stats, dram, dram.request, fast_dram,
+        *dram_consts, mshr, *mshr_calls,
+    )
+
+
+def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, cores: list[SMCore]) -> None:
+    """:func:`run_columnar` for any number of cores that nothing observes.
+
+    Every warp steps in this one frame, so a pop costs no Python call.
+    The *current* core's issue clock, memory port, and inlined cache and
+    DRAM counters are plain locals.  When the popped warp belongs to
+    another core, the swap site writes them back into the outgoing
+    core's :class:`SMCore` and model objects (the write-back every run
+    ends with), then loads the incoming core's and unpacks its fixed
+    handles -- cache sets and stats, DRAM port, fast-DRAM quotients,
+    MSHR file -- from one tuple per core.  Every warp of a one-core run
+    belongs to the current core, so it never swaps.
+    """
+    barrier_latency = cfg.barrier_latency
+    hit_latency = float(cfg.cache_hit_latency)
+    line_bytes = cfg.cache_line_bytes
+    txn_bytes = cfg.dram_transaction_bytes
+    desch_lat = cfg.deschedule_latency
+    desch_thr = cfg.deschedule_threshold if desch_lat else float("inf")
+    # Every SM of a chip runs one partition under one config, so cache
+    # geometry, whether a cache fronts global memory, and the bank-model
+    # class (all a CTA plan depends on besides the CTA) are chip-wide.
+    cache = cores[0].cache
+    num_sets = cache.num_sets
+    cache_assoc = cache.assoc
+    cache_enabled = cache.enabled
+
+    # ---- inlined model fast paths -----------------------------------
+    # The cache probe (dict hit + LRU touch) and the unbanked DRAM bus
+    # arithmetic (two adds and a division) are a fraction of the cost
+    # of calling into the model objects, so the frame keeps both as
+    # local state and replays *the same arithmetic in the same order*
+    # -- bit-identical by construction -- writing the counters back at
+    # the swap site.  Banked or observed DRAM channels keep the model
+    # call (row-buffer state stays where it lives); the cache is always
+    # a plain DataCache here and is always inlined.
+    fixed = [_plain_handles(core, line_bytes, txn_bytes) for core in cores]
 
     INF = float("inf")
     # The heap always holds an infinite-key sentinel, so the hot loop
-    # peeks ``heap[0][0]`` without an emptiness guard and the outer
-    # loop terminates on popping it.
-    heap: list = [(INF, 0, None, 0, (), None)]
+    # peeks ``heap[0][0]`` without an emptiness guard.  It belongs to no
+    # core: popping it reaches the swap site, which writes the last
+    # core's locals back, and ends the loop.
+    heap: list = [(INF, 0, None, 0, (), None, None)]
     heappush = heapq.heappush
     heappop = heapq.heappop
     heappushpop = heapq.heappushpop
     seq = 0
     # Static totals: one tuple appended per CTA spawn, summed
     # columnwise once at the end.
-    spawned: list = []
+    spawned: list[list] = [[] for _ in cores]
     plans: dict = {}
     # CTA indexes are unique, but grids repeat one CTA shape: the
     # interned signature row's identity plus the recycled shared-memory
@@ -1074,52 +780,83 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
     # on those lets steady-state spawns skip cta_plan's key rebuild.
     sig_rows = _sig_table(kernel, line_bytes)
 
-    def spawn_cta(_core: SMCore, now: float) -> bool:
-        # ``_core`` is always this frame's one core (fill_cores's
-        # callback shape); the scheduler is already a local.
+    def spawn_cta(core: SMCore, now: float) -> bool:
         nonlocal seq
-        resident = scheduler.launch_next()
+        resident = core.scheduler.launch_next()
         if resident is None:
             return False
         pkey = (id(sig_rows[resident.index]), resident.shared_base)
         plan = plans.get(pkey)
         if plan is None:
             plan = plans[pkey] = cta_plan(
-                kernel, banks, resident.shared_base, cfg, cache_enabled,
+                kernel, core.banks, resident.shared_base, cfg, cache_enabled,
                 resident.index,
             )
         progs, ctot = plan
         for prog in progs:
             w = _ColWarp(prog, resident)
-            heappush(heap, (now, seq, w, 0, w.rows, w.comp))
+            heappush(heap, (now, seq, w, 0, w.rows, w.comp, core))
             seq += 1
-        spawned.append(ctot)
+        spawned[core.index].append(ctot)
         return True
 
-    fill_cores([core], spawn_cta)
-    live_ctas = core.live_ctas
+    fill_cores(cores, spawn_cta)
 
-    issued_until = 0.0
-    mem_port_free = 0.0
+    # A grid always launches a warp (a CTA that fits nowhere raises when
+    # its core is built), so the first pop loads a core.
+    core = None
+    ready, _, w, pc, rows, comp, wcore = heappop(heap)
     while True:
-        item = heappop(heap)
-        ready, _, w, pc, rows, comp = item
-        if w is None:  # sentinel popped: no runnable warp left
-            break
+        if wcore is not core:
+            # ---- swap site: the popped warp runs on another core -----
+            if core is not None:
+                core.issued_until = issued_until
+                core.mem_port_free = mem_port_free
+                stats.read_hits = c_rhit
+                stats.read_misses = c_rmiss
+                stats.write_hits = c_whit
+                stats.write_misses = c_wmiss
+                if fast_dram:
+                    dram.free_at = dram_free
+                    dram.accesses = dram_acc
+                    dram.bytes_transferred = dram_xfer
+                    dram.busy_cycles = dram_busy
+                    dram._last_request_time = dram_last
+            if w is None:  # sentinel popped: no runnable warp left
+                break
+            core = wcore
+            (
+                cache_sets, stats, dram, dram_request, fast_dram,
+                dram_lat, dram_bpc, line_service, txn_service,
+                mshr, mshr_outstanding, mshr_entry_free, mshr_allocate,
+            ) = fixed[core.index]
+            issued_until = core.issued_until
+            mem_port_free = core.mem_port_free
+            c_rhit = stats.read_hits
+            c_rmiss = stats.read_misses
+            c_whit = stats.write_hits
+            c_wmiss = stats.write_misses
+            if fast_dram:
+                dram_free = dram.free_at
+                dram_acc = dram.accesses
+                dram_xfer = dram.bytes_transferred
+                dram_busy = dram.busy_cycles
+                dram_last = dram._last_request_time
         limit = heap[0][0]
         t = ready if ready > issued_until else issued_until
         kind, a, b, aux, deps = rows[pc]
-        # ---- warp run: the make_warp_runner body, inlined.  A yield
-        # swaps in the earliest heap entry without leaving this loop;
-        # heap entries carry (key, seq, warp, pc, rows, comp) so a pop
-        # resumes with plain unpacks instead of attribute loads.  The
-        # warp object's own ``pc`` is only synchronised at barriers,
-        # the one consumer that inspects a parked warp.
+        # ---- warp run.  A yield swaps in the earliest heap entry
+        # without leaving this loop unless that warp runs on another
+        # core; heap entries carry (key, seq, warp, pc, rows, comp,
+        # core) so a pop resumes with plain unpacks instead of attribute
+        # loads.  The warp object's own ``pc`` is only synchronised at
+        # barriers, the one consumer that inspects a parked warp.
         while True:
             if kind == 0:  # ALU / SFU / TEX
                 issue_done = t + a
                 comp[pc] = t + b
-            elif kind != 6:  # memory
+            elif kind != 6:  # memory: one issue cycle, conflicts
+                # serialise in the pipeline behind the single LSU port
                 issue_done = t + 1.0
                 port_start = (
                     issue_done if issue_done > mem_port_free
@@ -1133,7 +870,7 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                     mem_port_free = port_start + b
                     if kind == 2:  # global/local load through the cache
                         completion = data_ready
-                        if mshr is None:
+                        if mshr is None:  # legacy blocking miss model
                             if fast_dram:
                                 for li in aux[1]:
                                     ss = cache_sets[li % num_sets]
@@ -1178,7 +915,8 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                                         )
                                     if done > completion:
                                         completion = done
-                        else:
+                        else:  # non-blocking: merge secondaries, stall
+                            # on a full file, address the fills
                             cur = data_ready
                             for seg in aux[0]:
                                 li = seg // line_bytes
@@ -1212,7 +950,7 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                             if cur > mem_port_free:
                                 mem_port_free = cur
                         comp[pc] = completion
-                    elif kind == 3:  # uncached load
+                    elif kind == 3:  # uncached load: per-sector DRAM
                         completion = data_ready
                         if fast_dram:
                             for _ in range(aux):
@@ -1234,7 +972,7 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                                 if done > completion:
                                     completion = done
                         comp[pc] = completion
-                    elif kind == 4:  # cached store
+                    elif kind == 4:  # cached store: write-through bursts
                         for li in aux[1]:
                             ss = cache_sets[li % num_sets]
                             if li in ss:
@@ -1277,7 +1015,7 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                             for _ in range(aux):
                                 dram_request(data_ready, txn_bytes)
                         comp[pc] = issue_done
-            else:  # BARRIER
+            else:  # BARRIER: hand over to CTA coordination below
                 w.pc = pc + 1
                 issued_until = t + 1.0
                 code = 1
@@ -1290,25 +1028,34 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                     c = comp[d]
                     if c > nr:
                         nr = c
-            elif deps is None:  # R_END: warp retired
+            elif deps is None:  # R_END sentinel: warp retired
                 issued_until = issue_done
                 code = 2
                 break
             if desch_lat and nr - issue_done > desch_thr:
                 nr += desch_lat
             if nr < limit:
+                # The warp would pop next anyway (strictly earliest
+                # key; ties lose to older sequence numbers): keep
+                # replaying inline.
                 t = nr
                 continue
             # Yield: reinsert this warp keyed ``nr`` and continue with
             # whichever warp is now earliest -- one heap operation.
             issued_until = issue_done
-            item = heappushpop(heap, (nr, seq, w, pc, rows, comp))
+            ready, _, w, pc, rows, comp, wcore = heappushpop(
+                heap, (nr, seq, w, pc, rows, comp, core)
+            )
             seq += 1
-            ready, _, w, pc, rows, comp = item
+            if wcore is not core:
+                code = 0
+                break
             limit = heap[0][0]
             t = ready if ready > issued_until else issued_until
             kind, a, b, aux, deps = rows[pc]
-        # ---- irregular outcomes: retire / barrier --------------------
+        # ---- irregular outcomes: other core / retire / barrier ------
+        if code == 0:  # the popped warp runs on another core: swap
+            continue
         if code == 2:  # warp done at cycle ``issue_done``
             cta = w.cta
             cta.warps_outstanding -= 1
@@ -1318,10 +1065,10 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                         f"CTA {cta.index} finished with warps still at a "
                         "barrier"
                     )
-                scheduler.retire(cta)
-                live_ctas -= 1
+                core.scheduler.retire(cta)
+                core.live_ctas -= 1
                 if spawn_cta(core, issue_done):
-                    live_ctas += 1
+                    core.live_ctas += 1
         else:  # barrier arrival at cycle ``t``
             cta = w.cta
             cta.barrier_count += 1
@@ -1335,32 +1082,20 @@ def _run_inlined(kernel: CompiledKernel, cfg: SMConfig, core: SMCore) -> None:
                         heappush(
                             heap,
                             (_release_key(other, release), seq, other,
-                             other.pc, other.rows, other.comp),
+                             other.pc, other.rows, other.comp, core),
                         )
                         seq += 1
                     else:
                         # A warp whose last instruction is a barrier.
                         cta.warps_outstanding -= 1
                 if cta.warps_outstanding == 0:
-                    scheduler.retire(cta)
-                    live_ctas -= 1
+                    core.scheduler.retire(cta)
+                    core.live_ctas -= 1
                     if spawn_cta(core, release):
-                        live_ctas += 1
+                        core.live_ctas += 1
             else:
                 cta.waiting_warps.append(w)
+        ready, _, w, pc, rows, comp, wcore = heappop(heap)
 
-    # ---- write the inlined model counters back ------------------------
-    stats.read_hits = c_rhit
-    stats.read_misses = c_rmiss
-    stats.write_hits = c_whit
-    stats.write_misses = c_wmiss
-    if fast_dram:
-        dram.free_at = dram_free
-        dram.accesses = dram_acc
-        dram.bytes_transferred = dram_xfer
-        dram.busy_cycles = dram_busy
-        dram._last_request_time = dram_last
-    core.live_ctas = live_ctas
-    core.issued_until = issued_until
-    core.mem_port_free = mem_port_free
-    _fold_totals(core, spawned)
+    for core in cores:
+        _fold_totals(core, spawned[core.index])

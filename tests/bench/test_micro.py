@@ -56,7 +56,8 @@ def test_run_micro_payload_validates():
     assert {"micro.banks.partitioned", "micro.banks.unified",
             "micro.cache.readwrite", "micro.coalescer.lines",
             "sim.matrixmul.baseline", "sim.vectoradd.unified384",
-            "sim.matrixmul.nonblocking"} <= ids
+            "sim.matrixmul.nonblocking", "sim.matrixmul.chip4",
+            "sim.matrixmul.chip4.partitioned"} <= ids
     payload = make_payload(entries, scale="tiny", repeats=1)
     assert validate_payload(payload) == []
     # sim.* entries pin simulated cycles -- the cheap cycle-identity check.
@@ -64,6 +65,8 @@ def test_run_micro_payload_validates():
         if e.id.startswith("sim."):
             assert e.meta["cycles"] > 0
             assert e.meta["instructions"] > 0
+    chip4 = [e for e in entries if e.id.startswith("sim.matrixmul.chip4")]
+    assert [e.meta["sms"] for e in chip4] == [4, 4]
 
 
 def test_cli_bench_writes_valid_payload(tmp_path, capsys):

@@ -12,7 +12,7 @@ for deliberate model changes.
 ``test_golden_result_on_engine`` pins every case on both loops, each
 with its own runner: the per-op reference loop (swapped in by
 :func:`tests.util.reference_loop`), and the columnar replay loop's
-single-core inlined frame.
+plain frame.
 """
 
 import json

@@ -133,6 +133,51 @@ def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
     assert _dumps(obs_c.trace_payload()) == _dumps(obs_e.trace_payload())
 
 
+@pytest.mark.parametrize("part_dram", (False, True))
+@pytest.mark.parametrize("mshr", MSHRS)
+@pytest.mark.parametrize("kernel", ("vectoradd", "lu@spill"))
+def test_mixed_collectors_match_reference(runner, kernel, mshr, part_dram):
+    """Collectors on SMs 0 and 2 only: the observed SMs' payloads are
+    the reference loop's, the unobserved SMs report no stalls, and no SM
+    simulates differently from a run with no collector at all."""
+    ck = _compiled(runner, kernel)
+    part = partitioned_baseline()
+    chip = ChipConfig(
+        num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2,
+        dram_partitioned=part_dram, sm=_config(runner, mshr),
+    )
+    mk = lambda: [  # noqa: E731
+        Collector(metrics_window=500, trace=True, max_trace_events=200_000),
+        None,
+        Collector(metrics_window=500, trace=True, max_trace_events=200_000),
+        None,
+    ]
+    obs_e, obs_c = mk(), mk()
+    with reference_loop():
+        event = simulate_chip(ck, part, chip, collectors=obs_e)
+    columnar = simulate_chip(ck, part, chip, collectors=obs_c)
+    bare = simulate_chip(ck, part, chip)
+    assert columnar.cycles == event.cycles == bare.cycles
+    assert columnar.per_sm == event.per_sm
+    assert columnar.ctas_per_sm == event.ctas_per_sm
+    assert columnar.dram_channel_bytes == event.dram_channel_bytes
+    assert columnar.notes == event.notes
+    for c, e in zip(obs_c, obs_e):
+        if c is None:
+            continue
+        assert c.warps
+        assert c.conservation_errors() == []
+        assert _dumps(c.report()) == _dumps(e.report())
+        assert _dumps(c.metrics_payload()) == _dumps(e.metrics_payload())
+        assert _dumps(c.trace_payload()) == _dumps(e.trace_payload())
+    assert [r.stall_cycles == {} for r in columnar.per_sm] == [
+        False, True, False, True
+    ]
+    assert [replace(r, stall_cycles={}) for r in columnar.per_sm] == list(
+        bare.per_sm
+    )
+
+
 # -- neutrality: collectors on/off on the replay loop ---------------------
 @pytest.mark.parametrize("mshr", MSHRS)
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -175,7 +220,12 @@ def test_columnar_chip_observability_is_neutral(runner, mshr):
 
 # -- the replay path is really taken (no silent fallback) -----------------
 def test_instrumented_run_uses_replay_path(monkeypatch):
-    """A kernel's first simulation, plain or instrumented, replays."""
+    """A kernel's first simulation, plain or instrumented, replays.
+
+    Plain runs take the plain frame at any core count and build no
+    per-core runner; a run with any collector attached builds the
+    instrumented runner for every core.
+    """
     import repro.sm.replay as replay_mod
 
     calls = []
@@ -186,14 +236,41 @@ def test_instrumented_run_uses_replay_path(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(replay_mod, "run_columnar", spy)
+    frames = []
+    for name in ("_run_inlined", "make_warp_runner_obs"):
+        def enter(*args, _name=name, _real=getattr(replay_mod, name)):
+            frames.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(replay_mod, name, enter)
     # A fresh runner compiles kernels no other test has simulated.
     fresh = Runner("tiny")
     part = partitioned_baseline()
     simulate(fresh.compiled("vectoradd"), part, fresh.config)
     assert calls == [1], "a kernel's first plain run skipped the replay loop"
+    assert frames == ["_run_inlined"]
     col = Collector(metrics_window=500, trace=True)
     simulate(fresh.compiled("needle"), part, fresh.config, collector=col)
     assert calls == [1, 1], (
         "a kernel's first instrumented run skipped the replay loop"
     )
+    assert frames == ["_run_inlined", "make_warp_runner_obs"]
     assert col.warps and col.conservation_errors() == []
+
+    ck = fresh.compiled("needle")
+    for num_sms in (1, 2, 4):
+        for part_dram in (False, True):
+            chip = ChipConfig(
+                num_sms=num_sms, dram_bytes_per_cycle=32.0, dram_channels=2,
+                dram_partitioned=part_dram, sm=fresh.config,
+            )
+            frames.clear()
+            simulate_chip(ck, part, chip)
+            assert frames == ["_run_inlined"], (num_sms, part_dram)
+            frames.clear()
+            simulate_chip(
+                ck, part, chip, collectors=[Collector()] + [None] * (num_sms - 1)
+            )
+            assert frames == ["make_warp_runner_obs"] * num_sms, (
+                num_sms, part_dram,
+            )

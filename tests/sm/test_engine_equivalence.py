@@ -21,6 +21,7 @@ per-bank conflict model and the strict cluster-port ablation
 
 from contextlib import nullcontext
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -100,15 +101,52 @@ def test_engines_bit_identical(runner, kernel, part_name, mshr):
     assert columnar == event
 
 
-@pytest.mark.parametrize("mshr", MSHRS)
-@pytest.mark.parametrize("kernel", ("vectoradd", "needle", "lu@spill"))
-def test_engines_bit_identical_at_chip_scope(runner, kernel, mshr):
-    """Chip scope: shared arbitrated DRAM, 4 SMs, both loops."""
+def _chip_arms():
+    """(kernel, partition, MSHRs, SMs, partitioned DRAM) chip-scope arms.
+
+    An id reads ``kernel[-partition]-mshr[-Nsm][-slices]``; it omits the
+    defaults, the baseline partition on 4 SMs behind shared DRAM
+    (``needle-0``).
+    """
+    arms = []
+    for kernel, part_name, mshr, num_sms, part_dram in product(
+        ("vectoradd", "needle", "lu@spill", "dgemm@spill"),
+        ("baseline", "unified384"),
+        MSHRS,
+        (4, 3),
+        (False, True),
+    ):
+        tags = [kernel]
+        if part_name != "baseline":
+            tags.append(part_name)
+        tags.append(str(mshr))
+        if num_sms != 4:
+            tags.append(f"{num_sms}sm")
+        if part_dram:
+            tags.append("slices")
+        arms.append(pytest.param(
+            kernel, part_name, mshr, num_sms, part_dram, id="-".join(tags)
+        ))
+    return arms
+
+
+@pytest.mark.parametrize(
+    "kernel, part_name, mshr, num_sms, part_dram", _chip_arms()
+)
+def test_engines_bit_identical_at_chip_scope(
+    runner, kernel, part_name, mshr, num_sms, part_dram
+):
+    """Chip scope, both loops: shared arbitrated DRAM or private slices.
+
+    Three SMs split 32 B/cycle into non-integral slices; ``dgemm@spill``
+    has two CTAs at tiny scale, so some SMs stay idle and must keep
+    their initial clocks and counters.
+    """
     ck = _compiled(runner, kernel)
-    part = partitioned_baseline()
+    part = _partition(runner, kernel, part_name)
     chip = ChipConfig(
-        num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2,
-        sm=_config(runner, mshr),
+        num_sms=num_sms, dram_bytes_per_cycle=32.0, dram_channels=2,
+        dram_partitioned=part_dram, sm=_config(runner, mshr),
     )
     with reference_loop():
         event = simulate_chip(ck, part, chip)
@@ -118,6 +156,11 @@ def test_engines_bit_identical_at_chip_scope(runner, kernel, mshr):
     assert columnar.ctas_per_sm == event.ctas_per_sm
     assert columnar.dram_channel_bytes == event.dram_channel_bytes
     assert columnar.notes == event.notes
+    for n_ctas, r in zip(columnar.ctas_per_sm, columnar.per_sm):
+        if n_ctas == 0:
+            assert (r.cycles, r.instructions, r.dram_accesses) == (0.0, 0, 0)
+    if kernel == "dgemm@spill":
+        assert 0 in columnar.ctas_per_sm
 
 
 def test_reference_loop_plans_nothing(monkeypatch):
