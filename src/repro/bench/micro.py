@@ -252,7 +252,7 @@ def bench_lower(scale: str, repeats: int) -> list[BenchEntry]:
 
 def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
     """Time full ``simulate()`` calls per kernel under two designs, and
-    plain four-SM ``simulate_chip()`` runs.
+    four-SM ``simulate_chip()`` runs, plain and profiled.
 
     Each entry's first run is cold (pays any per-kernel precomputation);
     subsequent runs re-simulate the same :class:`CompiledKernel`, which
@@ -335,6 +335,28 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
                 "warps": len(col.warps)}
 
     entries.append(timed("sim.matrixmul.columnar.profiled", run_profiled, repeats))
+
+    # Instrumented four-SM replay as a chip profile runs it: shared
+    # channels, a chip collector with interval metrics and chip-profile's
+    # trace bound, which a small-scale run overflows.
+    chip = ChipConfig(
+        num_sms=4, dram_bytes_per_cycle=4 * rn.config.dram_bytes_per_cycle,
+        dram_channels=2, sm=rn.config,
+    )
+
+    def run_chip_profiled():
+        from repro.obs import ChipCollector
+
+        cc = ChipCollector.for_chip(
+            chip, metrics_window=2000, trace=True, max_trace_events=20_000
+        )
+        r = simulate_chip(ck, baseline, chip, chip_collector=cc)
+        assert cc.conservation_errors() == []
+        return {"cycles": r.cycles, "instructions": r.instructions,
+                "sms": r.num_sms,
+                "trace_events": len(cc.trace_payload()["traceEvents"])}
+
+    entries.append(timed("sim.matrixmul.chip4.profiled", run_chip_profiled, repeats))
     return entries
 
 

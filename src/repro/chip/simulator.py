@@ -6,9 +6,9 @@
 shared :class:`~repro.memory.dram.DRAMSystem` (or private per-SM
 slices), and the :class:`~repro.obs.chip.ChipCollector` taps -- runs
 them on the columnar replay loop :func:`repro.sm.simulate` runs its one
-core on (:func:`repro.sm.replay.run_columnar`: one plain frame for any
-core count, or the instrumented loop when anything observes the run),
-and assembles the :class:`~repro.chip.result.ChipResult`.
+core on (:func:`repro.sm.replay.run_columnar`: one frame for any core
+count, observed or not), and assembles the
+:class:`~repro.chip.result.ChipResult`.
 
 One global event heap interleaves the warps of every SM by readiness,
 so SMs advance together in simulated time and their DRAM requests reach

@@ -20,8 +20,9 @@ levels:
   last-writer RAW dependency graph (which replaces the reference loop's
   per-warp ``pending`` dict), the register-file traffic totals, the
   plans of the non-memory ops, where each memory op finds its
-  addresses, per latency config a row template with every ALU/SFU/TEX
-  and barrier row built, and the columns instrumented replay reads.
+  addresses, and per latency config a row template with every
+  ALU/SFU/TEX and barrier row built.  Its ``(op class, dst, srcs)``
+  per op is also what replay hands the collector hooks.
 * **Warp signatures** are the pair (shape lowering, tuple of
   memory-op plans), interned.  A warp's own lowering is planning its
   memory ops from its addresses -- the trace op's, or the spill-slot
@@ -72,13 +73,6 @@ from repro.compiler.regalloc import Rewrite
 from repro.isa.opcodes import OpClass
 from repro.memory.banks import hist_bucket, register_conflicts
 from repro.memory.coalescer import coalesce_lines, sectors_per_line
-from repro.obs.collector import CAUSE_MEMORY, CAUSE_RAW, STALL_CAUSES
-
-# Integer cause indices into STALL_CAUSES: the instrumented replay loops
-# accumulate stalls into per-warp lists indexed by these and only convert
-# back to the canonical cause strings when folding into the collector.
-CI_RAW = STALL_CAUSES.index(CAUSE_RAW)
-CI_MEMORY = STALL_CAUSES.index(CAUSE_MEMORY)
 
 #: Dense instruction kinds lowering dispatches on.  The first three
 #: index ``(alu, sfu, tex)`` latency tables, so their order is load-bearing.
@@ -295,13 +289,9 @@ class ShapeLowering:
             count.
         templates: Row templates by ``(alu, sfu, tex)`` latency (see
             :meth:`template`).
-        obs: Observability columns (see :meth:`obs_rows`); ``None``
-            until an instrumented replay first asks.
     """
 
-    __slots__ = (
-        "arch_shape", "n_ops", "deps", "rf_totals", "plans", "mem", "templates", "obs",
-    )
+    __slots__ = ("arch_shape", "n_ops", "deps", "rf_totals", "plans", "mem", "templates")
 
     def __init__(self, comp, line_bytes: int) -> None:
         self.arch_shape = comp.arch_shape
@@ -351,7 +341,6 @@ class ShapeLowering:
         self.plans = plans
         self.mem = tuple(mem)
         self.templates: dict[tuple, tuple] = {}
-        self.obs = None
 
     def warp_plans(self, warp, line_bytes: int) -> tuple:
         """The interned plans of one warp's memory ops, in ``mem`` order."""
@@ -396,64 +385,6 @@ class ShapeLowering:
             rows.append(_END_ROW)
             t = self.templates[lat] = (rows, conflict, tuple(hist))
         return t
-
-    def obs_rows(self) -> tuple:
-        """Per-op observability columns for the instrumented replay loops.
-
-        Returns ``(rows, causes)``, both aligned with
-        :attr:`WarpProgram.rows` (plus a sentinel under the ``R_END``
-        row so both share a pc).  Each row is ``(name, prods, dst)``:
-        the instruction name for trace slices, the *producer pcs* of the
-        op's source registers, and the destination register.  ``prods``
-        is the static last-writer relation evaluated in source-operand
-        order -- exactly the registers the collector's ``issue`` hook
-        would find in its pending dict, resolved at lowering time so the
-        replay runner can attribute a dependency wait with list lookups
-        into the per-warp completion column instead of per-op dict
-        traffic.  Scan equivalence with ``Collector.issue`` holds
-        because warps replay in program order (every producer pc has
-        executed by the time a consumer reads it) and ties keep the
-        first maximum in operand order in both forms.
-
-        ``causes`` is the static writeback cause per op as an *index
-        into* ``STALL_CAUSES``: texture fetches always resolve in DRAM
-        (``CAUSE_MEMORY``), every other statically-known producer is
-        core-local (``CAUSE_RAW``).  Dynamic causes stay with the replay
-        runner: cached global loads escalate to ``CAUSE_MEMORY`` on a
-        miss or MSHR merge, uncached loads unconditionally, exactly as
-        the reference loop decides them.  Barriers take the literal
-        name the reference loop reports.
-
-        Names, operands and causes are shape facts, so this is built
-        once per shape, on the first instrumented replay that asks.
-        """
-        cached = self.obs
-        if cached is None:
-            rows = []
-            causes = []
-            last_writer: dict = {}
-            for pc, (op_class, dst, srcs) in enumerate(self.arch_shape):
-                barrier = op_class is OpClass.BARRIER
-                # Producers are looked up before this op's own write
-                # lands, mirroring the event order (issue reads pending,
-                # then writeback overwrites it); duplicate sources keep
-                # their duplicate producer entries -- a strict-maximum
-                # scan makes the repeat a no-op, as it is in the dict
-                # form.
-                prods = tuple(last_writer[r] for r in srcs if r in last_writer)
-                # Barrier rows drop the dst: the reference loop continues
-                # past its writeback lines, so a barrier never registers
-                # a pending write whatever the op carries.
-                if barrier:
-                    dst = None
-                rows.append(("BARRIER" if barrier else op_class.name, prods, dst))
-                causes.append(CI_MEMORY if op_class is OpClass.TEX else CI_RAW)
-                if dst is not None:
-                    last_writer[dst] = pc
-            rows.append((None, (), None))
-            causes.append(CI_RAW)
-            cached = self.obs = (rows, causes)
-        return cached
 
 
 class WarpProgram:

@@ -32,9 +32,13 @@ model:
   attribute the cycle delta by stall cause, SM, channel, and CTA --
   with the conservation invariant re-verified on both sides.
 
-Instrumentation is strictly opt-in: ``simulate(...)`` defaults to the
-:data:`NULL_COLLECTOR`, and the hot loop guards every hook behind a
-single ``is not None`` check, so uninstrumented runs pay near-zero cost.
+Instrumentation is strictly opt-in: ``simulate(...)`` takes no
+collector by default, and the one replay frame
+(:func:`repro.sm.replay.run_columnar`) guards every hook call behind
+the current core's collector (or the chip collector) being set, so
+uninstrumented runs pay near-zero cost.  That frame and the per-op
+reference loop call the same :class:`Collector` hooks with the same
+arguments, so attribution has one definition, here.
 """
 
 from repro.obs.collector import (

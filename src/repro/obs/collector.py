@@ -1,4 +1,4 @@
-"""Per-warp stall attribution for the event-driven SM simulator.
+"""Per-warp stall attribution for the SM simulator.
 
 Every cycle of the run, for every warp, is charged to exactly one of:
 
@@ -41,6 +41,12 @@ for a free MSHR entry are carved out of its wait and charged to
 All times are the simulator's dyadic-rational cycle stamps, so the
 segment sums are exact in IEEE-754 -- conservation is checked with
 equality, not a tolerance.
+
+:class:`Collector` is the one definition of attribution.  The replay
+frame (:func:`repro.sm.replay.run_columnar`) and the per-op reference
+loop (:func:`repro.sm.core.run_event`) call its hooks at the same
+points with the same arguments, so their payloads are byte-identical;
+``tests/obs/payload_digests.json`` pins what the collectors emit.
 """
 
 from __future__ import annotations
@@ -203,9 +209,15 @@ class Collector:
         became schedulable), ``t`` the cycle it won the issue port,
         ``issue_done`` when the port was released (``t + 1`` plus any
         register-bank serialisation).
+
+        The simulators call this once per instruction, so each charge
+        is :meth:`_charge` written out in place (same guard, same
+        operands) rather than called.
         """
         ws = self.warps[wid]
         cursor = ws.cursor
+        stalls = ws.stalls
+        trace = self.trace
         if ready > cursor:
             # Dependency wait: the pending source with the latest
             # completion is the one that determined readiness.
@@ -229,30 +241,71 @@ class Collector:
                 bank = conflict if conflict < wait else wait
                 rest = wait - bank
                 msh = mshrw if mshrw < rest else rest
-                if bank > 0.0:
-                    self._charge(ws, CAUSE_BANK_CONFLICT, cursor, cursor + bank)
-                if msh > 0.0:
-                    self._charge(ws, CAUSE_MSHR_FULL, cursor + bank, cursor + bank + msh)
-                self._charge(ws, cause, cursor + bank + msh, dep_end)
+                cb = cursor + bank
+                cbm = cb + msh
+                if bank > 0.0 and cb > cursor:
+                    stalls[CAUSE_BANK_CONFLICT] = (
+                        stalls.get(CAUSE_BANK_CONFLICT, 0.0) + (cb - cursor)
+                    )
+                    if trace is not None:
+                        trace.slice(
+                            PID_WARPS, wid, CAUSE_BANK_CONFLICT, "stall",
+                            cursor, cb - cursor,
+                        )
+                if msh > 0.0 and cbm > cb:
+                    stalls[CAUSE_MSHR_FULL] = (
+                        stalls.get(CAUSE_MSHR_FULL, 0.0) + (cbm - cb)
+                    )
+                    if trace is not None:
+                        trace.slice(
+                            PID_WARPS, wid, CAUSE_MSHR_FULL, "stall", cb, cbm - cb
+                        )
+                if dep_end > cbm:
+                    stalls[cause] = stalls.get(cause, 0.0) + (dep_end - cbm)
+                    if trace is not None:
+                        trace.slice(
+                            PID_WARPS, wid, cause, "stall", cbm, dep_end - cbm
+                        )
                 cursor = dep_end
             if ready > cursor:
                 # Only the two-level scheduler's reactivation latency
                 # can delay a warp past its dependence resolution.
-                self._charge(ws, CAUSE_DESCHEDULE, cursor, ready)
+                stalls[CAUSE_DESCHEDULE] = (
+                    stalls.get(CAUSE_DESCHEDULE, 0.0) + (ready - cursor)
+                )
+                if trace is not None:
+                    trace.slice(
+                        PID_WARPS, wid, CAUSE_DESCHEDULE, "stall",
+                        cursor, ready - cursor,
+                    )
                 cursor = ready
         if t > cursor:
-            self._charge(ws, CAUSE_ISSUE_PORT, cursor, t)
+            stalls[CAUSE_ISSUE_PORT] = stalls.get(CAUSE_ISSUE_PORT, 0.0) + (t - cursor)
+            if trace is not None:
+                trace.slice(
+                    PID_WARPS, wid, CAUSE_ISSUE_PORT, "stall", cursor, t - cursor
+                )
         ws.issue_cycles += 1
-        if issue_done > t + 1.0:
-            self._charge(ws, CAUSE_BANK_CONFLICT, t + 1.0, issue_done)
+        t1 = t + 1.0
+        if issue_done > t1:
+            stalls[CAUSE_BANK_CONFLICT] = (
+                stalls.get(CAUSE_BANK_CONFLICT, 0.0) + (issue_done - t1)
+            )
+            if trace is not None:
+                trace.slice(
+                    PID_WARPS, wid, CAUSE_BANK_CONFLICT, "stall", t1, issue_done - t1
+                )
         ws.cursor = issue_done
         if self.sampler is not None:
             self.sampler.add_instruction(t)
-        if self.trace is not None:
-            self.trace.slice(PID_WARPS, wid, name, "issue", t, issue_done - t)
+        if trace is not None:
+            trace.slice(PID_WARPS, wid, name, "issue", t, issue_done - t)
 
     def complete(self, wid: int, time: float) -> None:
         """The warp issued its last instruction (or cleared its last barrier)."""
+        # Nothing reads a finished warp's pending writes again, and the
+        # warp's record lives as long as the collector.
+        self.warps[wid].pending.clear()
         self._occ_events.append((time, -1))
         if self.trace is not None:
             self.trace.instant(PID_WARPS, wid, "complete", "warp", time)

@@ -68,15 +68,23 @@ class TraceBuffer:
         dur: float,
         args: dict | None = None,
     ) -> None:
+        # The bound is checked before the event is built, so a full
+        # buffer (long traced runs spend most events here) builds none.
+        if len(self.events) >= self.max_events:
+            self.dropped += 1
+            return
         ev = {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
               "pid": pid, "tid": tid}
         if args:
             ev["args"] = args
-        self._add(ev)
+        self.events.append(ev)
 
     def instant(self, pid: int, tid: int, name: str, cat: str, ts: float) -> None:
-        self._add({"name": name, "cat": cat, "ph": "i", "ts": ts, "s": "t",
-                   "pid": pid, "tid": tid})
+        if len(self.events) >= self.max_events:
+            self.dropped += 1
+            return
+        self.events.append({"name": name, "cat": cat, "ph": "i", "ts": ts, "s": "t",
+                            "pid": pid, "tid": tid})
 
     def thread_name(self, pid: int, tid: int, name: str) -> None:
         self._add({"name": "thread_name", "ph": "M", "ts": 0, "pid": pid,

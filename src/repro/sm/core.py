@@ -6,7 +6,7 @@ pipeline clocks, and run counters.  :func:`repro.sm.simulate` builds one
 core behind a private channel with the whole grid; the chip simulator
 (:mod:`repro.chip`) builds N behind a shared dispatcher and DRAM
 system.  Both run their cores on :func:`repro.sm.replay.run_columnar`
-and close each core with :meth:`SMCore.result`.  Replay's plain frame
+and close each core with :meth:`SMCore.result`.  The replay frame
 keeps the current core's clocks and cache/DRAM counters in locals and
 writes them back into its :class:`SMCore` and model objects whenever it
 switches to another core's warp and when the run ends, so a core whose

@@ -4,10 +4,8 @@ See the package docstring (:mod:`repro.sm`) for the modelling contract.
 :func:`simulate` is the one-core case of the chip simulator: it builds
 one :class:`~repro.sm.core.SMCore` and runs it on the columnar replay
 loop (:func:`repro.sm.replay.run_columnar`), the loop
-:func:`repro.chip.simulate_chip` runs N cores on.  Without a collector
-both take the same plain frame, which serves any core count; with one,
-the instrumented loop.  ``docs/architecture.md`` states which frame
-each simulation takes.
+:func:`repro.chip.simulate_chip` runs N cores on, with or without a
+collector.  ``docs/architecture.md`` describes that loop.
 """
 
 from __future__ import annotations

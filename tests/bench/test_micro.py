@@ -57,7 +57,8 @@ def test_run_micro_payload_validates():
             "micro.cache.readwrite", "micro.coalescer.lines",
             "sim.matrixmul.baseline", "sim.vectoradd.unified384",
             "sim.matrixmul.nonblocking", "sim.matrixmul.chip4",
-            "sim.matrixmul.chip4.partitioned"} <= ids
+            "sim.matrixmul.chip4.partitioned",
+            "sim.matrixmul.chip4.profiled"} <= ids
     payload = make_payload(entries, scale="tiny", repeats=1)
     assert validate_payload(payload) == []
     # sim.* entries pin simulated cycles -- the cheap cycle-identity check.
@@ -66,7 +67,9 @@ def test_run_micro_payload_validates():
             assert e.meta["cycles"] > 0
             assert e.meta["instructions"] > 0
     chip4 = [e for e in entries if e.id.startswith("sim.matrixmul.chip4")]
-    assert [e.meta["sms"] for e in chip4] == [4, 4]
+    assert [e.meta["sms"] for e in chip4] == [4, 4, 4]
+    (profiled,) = [e for e in chip4 if e.id.endswith(".profiled")]
+    assert profiled.meta["trace_events"] > 0
 
 
 def test_cli_bench_writes_valid_payload(tmp_path, capsys):

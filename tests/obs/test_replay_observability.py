@@ -10,7 +10,7 @@ events -- and observability must stay neutral (collectors on/off change
 no simulated number).  The conservation invariant
 (``issue + stalls == warps x cycles``, exact ``fsum`` equality) is
 re-checked on every run.  The ``@spill`` arms compile a kernel at 5/8
-of its peak liveness, so the instrumented loops see fills and spills.
+of its peak liveness, so instrumented runs see fills and spills.
 """
 
 import json
@@ -30,6 +30,11 @@ KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 SPILL_KERNELS = ("dgemm@spill", "lu@spill")
 PARTITIONS = ("baseline", "unified384")
 MSHRS = (0, 4)
+#: Trace bound no arm overflows.  The truncating arms (``-trunc<N>``
+#: ids) bound the buffer far below a run's event count, so they pin
+#: which events a full buffer keeps and its ``droppedEvents`` count.
+ROOMY = 500_000
+TRUNC_KERNELS = ("needle", "bfs", "lu@spill")
 
 
 @pytest.fixture(scope="module")
@@ -70,16 +75,36 @@ def _dumps(payload):
     return json.dumps(payload, sort_keys=True)
 
 
+def _arm(*values, bound):
+    """One parameter set; a truncating trace ``bound`` tags its id."""
+    ident = "-".join(str(v) for v in values)
+    if bound < ROOMY:
+        ident += f"-trunc{bound}"
+    return pytest.param(*values, bound, id=ident)
+
+
 # -- per-cause attribution equality, SM scope -----------------------------
-@pytest.mark.parametrize("mshr", MSHRS)
-@pytest.mark.parametrize("part_name", PARTITIONS)
-@pytest.mark.parametrize("kernel", KERNELS + SPILL_KERNELS)
-def test_instrumented_engines_identical(runner, kernel, part_name, mshr):
+@pytest.mark.parametrize(
+    "kernel,part_name,mshr,max_events",
+    [
+        _arm(kernel, part_name, mshr, bound=ROOMY)
+        for kernel in KERNELS + SPILL_KERNELS
+        for part_name in PARTITIONS
+        for mshr in MSHRS
+    ]
+    + [
+        _arm(kernel, part_name, mshr, bound=300)
+        for kernel in TRUNC_KERNELS
+        for part_name in PARTITIONS
+        for mshr in MSHRS
+    ],
+)
+def test_instrumented_engines_identical(runner, kernel, part_name, mshr, max_events):
     ck = _compiled(runner, kernel)
     part = _partition(runner, kernel, part_name)
     cfg = _config(runner, mshr)
-    obs_e = Collector(metrics_window=500, trace=True, max_trace_events=200_000)
-    obs_c = Collector(metrics_window=500, trace=True, max_trace_events=200_000)
+    obs_e = Collector(metrics_window=500, trace=True, max_trace_events=max_events)
+    obs_c = Collector(metrics_window=500, trace=True, max_trace_events=max_events)
     with reference_loop():
         event = simulate(ck, part, cfg, collector=obs_e)
     columnar = simulate(ck, part, cfg, collector=obs_c)
@@ -94,15 +119,31 @@ def test_instrumented_engines_identical(runner, kernel, part_name, mshr):
     # Full payload byte-identity: stall report, interval metrics, trace.
     assert _dumps(obs_c.report()) == _dumps(obs_e.report())
     assert _dumps(obs_c.metrics_payload()) == _dumps(obs_e.metrics_payload())
-    assert _dumps(obs_c.trace_payload()) == _dumps(obs_e.trace_payload())
+    trace = obs_c.trace_payload()
+    assert _dumps(trace) == _dumps(obs_e.trace_payload())
+    assert (trace["otherData"]["droppedEvents"] > 0) == (max_events < ROOMY)
 
 
 # -- per-cause attribution equality, chip scope ---------------------------
-@pytest.mark.parametrize("part_dram", (False, True))
-@pytest.mark.parametrize("mshr", MSHRS)
-@pytest.mark.parametrize("kernel", ("vectoradd", "needle", "lu@spill"))
-def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
-    """Shared arbitrated DRAM, 4 SMs, DRAM-window and CTA taps live."""
+@pytest.mark.parametrize(
+    "kernel,mshr,part_dram,max_events",
+    [
+        _arm(kernel, mshr, part_dram, bound=ROOMY)
+        for kernel in ("vectoradd", "needle", "lu@spill")
+        for mshr in MSHRS
+        for part_dram in (False, True)
+    ]
+    + [
+        _arm(kernel, mshr, part_dram, bound=2_000)
+        for kernel in TRUNC_KERNELS
+        for mshr in MSHRS
+        for part_dram in (False, True)
+    ],
+)
+def test_instrumented_chip_engines_identical(
+    runner, kernel, mshr, part_dram, max_events
+):
+    """Shared or private DRAM, 4 SMs, DRAM-window and CTA taps live."""
     ck = _compiled(runner, kernel)
     part = partitioned_baseline()
     nch = 4 if part_dram else 2
@@ -111,7 +152,7 @@ def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
         dram_partitioned=part_dram, sm=_config(runner, mshr),
     )
     mk = lambda: ChipCollector(  # noqa: E731
-        4, nch, metrics_window=500, trace=True, max_trace_events=500_000,
+        4, nch, metrics_window=500, trace=True, max_trace_events=max_events,
         dram_partitioned=part_dram,
     )
     obs_e, obs_c = mk(), mk()
@@ -130,7 +171,9 @@ def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
     assert _dumps(obs_c.chipmetrics_payload()) == _dumps(
         obs_e.chipmetrics_payload()
     )
-    assert _dumps(obs_c.trace_payload()) == _dumps(obs_e.trace_payload())
+    trace = obs_c.trace_payload()
+    assert _dumps(trace) == _dumps(obs_e.trace_payload())
+    assert (trace["otherData"]["droppedEvents"] > 0) == (max_events < ROOMY)
 
 
 @pytest.mark.parametrize("part_dram", (False, True))
@@ -222,12 +265,14 @@ def test_columnar_chip_observability_is_neutral(runner, mshr):
 def test_instrumented_run_uses_replay_path(monkeypatch):
     """A kernel's first simulation, plain or instrumented, replays.
 
-    Plain runs take the plain frame at any core count and build no
-    per-core runner; a run with any collector attached builds the
-    instrumented runner for every core.
+    Each one enters ``run_columnar`` exactly once, on one SM or many,
+    on shared or private DRAM, and with a collector on only some SMs;
+    the module keeps no second frame for instrumented runs.
     """
     import repro.sm.replay as replay_mod
 
+    for gone in ("_run_inlined", "make_warp_runner_obs"):
+        assert not hasattr(replay_mod, gone), gone
     calls = []
     real = replay_mod.run_columnar
 
@@ -236,41 +281,29 @@ def test_instrumented_run_uses_replay_path(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(replay_mod, "run_columnar", spy)
-    frames = []
-    for name in ("_run_inlined", "make_warp_runner_obs"):
-        def enter(*args, _name=name, _real=getattr(replay_mod, name)):
-            frames.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(replay_mod, name, enter)
     # A fresh runner compiles kernels no other test has simulated.
     fresh = Runner("tiny")
     part = partitioned_baseline()
     simulate(fresh.compiled("vectoradd"), part, fresh.config)
     assert calls == [1], "a kernel's first plain run skipped the replay loop"
-    assert frames == ["_run_inlined"]
     col = Collector(metrics_window=500, trace=True)
     simulate(fresh.compiled("needle"), part, fresh.config, collector=col)
     assert calls == [1, 1], (
         "a kernel's first instrumented run skipped the replay loop"
     )
-    assert frames == ["_run_inlined", "make_warp_runner_obs"]
     assert col.warps and col.conservation_errors() == []
 
-    ck = fresh.compiled("needle")
     for num_sms in (1, 2, 4):
         for part_dram in (False, True):
+            fresh = Runner("tiny")
             chip = ChipConfig(
                 num_sms=num_sms, dram_bytes_per_cycle=32.0, dram_channels=2,
                 dram_partitioned=part_dram, sm=fresh.config,
             )
-            frames.clear()
-            simulate_chip(ck, part, chip)
-            assert frames == ["_run_inlined"], (num_sms, part_dram)
-            frames.clear()
-            simulate_chip(
-                ck, part, chip, collectors=[Collector()] + [None] * (num_sms - 1)
-            )
-            assert frames == ["make_warp_runner_obs"] * num_sms, (
-                num_sms, part_dram,
-            )
+            calls.clear()
+            simulate_chip(fresh.compiled("vectoradd"), part, chip)
+            assert calls == [1], (num_sms, part_dram)
+            mixed = [Collector()] + [None] * (num_sms - 1)
+            simulate_chip(fresh.compiled("needle"), part, chip, collectors=mixed)
+            assert calls == [1, 1], (num_sms, part_dram)
+            assert mixed[0].warps and mixed[0].conservation_errors() == []
