@@ -226,7 +226,7 @@ def bench_lower(scale: str, repeats: int) -> list[BenchEntry]:
     dropped: list[dict] = []
 
     def plan_all(ck):
-        return [cta_plan(ck, banks, 0, cfg, True, ci)[0] for ci in range(len(ck.ctas))]
+        return [cta_plan(ck, banks, 0, cfg, True, ci) for ci in range(len(ck.ctas))]
 
     def lower():
         for ck in kernels:
@@ -241,10 +241,7 @@ def bench_lower(scale: str, repeats: int) -> list[BenchEntry]:
     entry.meta.update(
         warps=sum(len(cta.warps) for ck in kernels for cta in ck.ctas),
         shapes=len({id(p.shape) for p in programs.values()}),
-        signatures=sum(
-            len({id(sig) for row in _sig_table(ck, line_bytes) for sig in row})
-            for ck in kernels
-        ),
+        signatures=sum(len(_sig_table(ck, line_bytes)[0]) for ck in kernels),
         programs=len(programs),
     )
     return [entry]

@@ -10,9 +10,9 @@ single-SM methodology cannot express).
 
 The defaults describe the paper's chip: 32 SMs sharing 256 bytes/cycle.
 ``ChipConfig.single_sm()`` is the degenerate configuration -- one SM
-with a private 8 B/cycle channel -- under which
-:func:`repro.chip.simulate_chip` reproduces the single-SM simulator
-bit for bit (pinned by the golden-fixture tests).
+with a private 8 B/cycle channel -- which :func:`repro.sm.simulate`
+runs: the single-SM simulator is this chip (its golden fixtures pin
+both entry points).
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class ChipConfig:
 
         One SM behind a private channel carrying exactly the bandwidth
         slice of the given :class:`SMConfig` (default: Table 2's
-        8 B/cycle).  ``simulate_chip`` under this configuration is
-        bit-identical to :func:`repro.sm.simulate`.
+        8 B/cycle).  :func:`repro.sm.simulate` runs ``simulate_chip``
+        under this configuration.
         """
         cfg = sm or SMConfig()
         return cls(

@@ -7,10 +7,9 @@ fill in :func:`repro.chip.simulate_chip` asks SMs round-robin -- SM 0
 gets CTA 0, SM 1 gets CTA 1, ... -- and every later hand-out happens
 when a resident CTA retires, which is launch-order FCFS.
 
-With one SM the dispatcher degenerates to the counter inside
-:class:`repro.sm.cta_scheduler.CTAScheduler`: indices ``0, 1, 2, ...``
-in order, which is what keeps the 1-SM chip bit-identical to the
-single-SM simulator.
+The dispatcher is the only CTA hand-out.  With one SM it hands out
+indices ``0, 1, 2, ...`` in order, which is the paper's single-SM
+methodology that :func:`repro.sm.simulate` runs.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@
 :class:`~repro.chip.dispatch.CTADispatcher` handing out the grid, a
 shared :class:`~repro.memory.dram.DRAMSystem` (or private per-SM
 slices), and the :class:`~repro.obs.chip.ChipCollector` taps -- runs
-them on the columnar replay loop :func:`repro.sm.simulate` runs its one
-core on (:func:`repro.sm.replay.run_columnar`: one frame for any core
-count, observed or not), and assembles the
-:class:`~repro.chip.result.ChipResult`.
+them on the columnar replay loop (:func:`repro.sm.replay.run_columnar`:
+one frame for any core count, observed or not), and assembles the
+:class:`~repro.chip.result.ChipResult`.  :func:`repro.sm.simulate` is
+this function on a one-SM chip, so core wiring (DRAM port, observers,
+CTA source) is written here only.
 
 One global event heap interleaves the warps of every SM by readiness,
 so SMs advance together in simulated time and their DRAM requests reach
@@ -17,9 +18,8 @@ the shared system in arrival order -- the contention the paper's fixed
 issue port, memory pipeline port, bank model, cache, and counters;
 nothing architectural is shared except the DRAM channels and the CTA
 dispatcher.  A 1-SM chip with a private full-slice channel
-(``ChipConfig.single_sm()``) is therefore bit-identical to
-:func:`repro.sm.simulate` -- pinned against the golden fixtures by
-``tests/chip/test_single_sm_identity.py``.
+(``ChipConfig.single_sm()``) is :func:`repro.sm.simulate` -- pinned
+against the golden fixtures by ``tests/chip/test_single_sm_identity.py``.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def simulate_chip(
         cores.append(
             SMCore(
                 i, kernel, partition, sm_cfg, thread_target, dram, obs,
-                cta_source=dispatcher.port(i),
+                dispatcher.port(i),
             )
         )
 

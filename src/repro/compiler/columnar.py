@@ -10,16 +10,17 @@ levels:
 * **Op plans** (:class:`OpPlan`, interned by :func:`intern_plan`) hold
   the facts of one op that no partition changes: its dispatch kind, the
   register-only bank outcome of a non-memory op, coalesced line
-  segments, DRAM sector counts, and a memo of the bank model's verdict
-  on a memory op.  Ops with equal (kind, MRF reads, addresses) share one
-  plan and its memo, so loop-heavy kernels build 10-60x fewer plans than
-  they have ops, and a partition sweep re-resolves a memory op with one
-  dict lookup per bank-model key.
+  segments, DRAM sector counts, a memo of the bank model's verdict on a
+  memory op, and a global or local op's replay kind and ``aux`` per
+  cache mode.  Ops with equal (kind, MRF reads, addresses) share one
+  plan and its memos, so loop-heavy kernels build 10-60x fewer plans
+  than they have ops, and a partition sweep re-resolves a memory op
+  with one dict lookup per bank-model key.
 * **Shapes** (:class:`ShapeLowering`, once per register shape of a
   kernel) hold everything the shape alone decides: the static
   last-writer RAW dependency graph (which replaces the reference loop's
-  per-warp ``pending`` dict), the register-file traffic totals, the
-  plans of the non-memory ops, where each memory op finds its
+  per-warp ``pending`` dict), the compilation's register-file traffic,
+  the plans of the non-memory ops, where each memory op finds its
   addresses, and per latency config a row template with every
   ALU/SFU/TEX and barrier row built.  Its ``(op class, dst, srcs)``
   per op is also what replay hands the collector hooks.
@@ -29,13 +30,17 @@ levels:
   formula's for fills and spills -- so warps of one shape whose
   addresses coincide share one signature.
 * **Programs** (:class:`WarpProgram`) specialise a signature to a bank
-  model, CTA shared-memory base, and latency config: a copy of the
-  shape's row template with the memory rows filled in (bank-conflict
-  penalties, coalesced line segments, DRAM burst sizes), plus one tuple
-  of *static totals* -- every additive counter of the reference loop
-  (instructions, conflict cycles, histogram buckets, arbitration
-  conflicts, RF/row/tag energy events) summed over the warp at lowering
-  time and added once at CTA spawn instead of once per op.
+  model, CTA shared-memory base, and config: a copy of the shape's row
+  template with the memory rows filled in (bank-conflict penalties, the
+  plans' replay kinds and ``aux``), plus one tuple of *static totals* --
+  every additive counter of the reference loop (instructions, conflict
+  cycles, histogram buckets, arbitration conflicts, RF/row/tag energy
+  events) summed over the warp at lowering time and added once at its
+  CTA's spawn instead of once per op.
+
+Each fact is cached once, where it is owned: plans module-wide, and per
+kernel (``_plan_cache``) its signatures and its programs per
+(signature, bank key, config).
 
 Plans carry no modelling of their own.  A memory op's outcome is the
 bank model's ``conflicts()`` (:mod:`repro.memory.banks`), memoised
@@ -150,13 +155,13 @@ class OpPlan:
             every bank model (:func:`~repro.memory.banks.register_conflicts`).
         reg_bucket: Histogram bucket of a non-memory op.
         segments: Sorted line bases (global/local ops only).
-        n_segments: ``len(segments)``.
-        per_line_sectors: Distinct 32-byte DRAM sectors per touched
-            line, in ascending line order -- the cached store path's
-            DRAM burst sizes; ``None`` until :meth:`line_sectors`
-            computes it.
         outcomes: Memo of :meth:`outcome` for a memory op; ``None``
             until lowering first resolves the op.
+        cached, uncached: A global or local op's ``(replay kind, aux)``
+            with and without a cache in front of global memory; ``None``
+            until :meth:`replay` first builds them.  Only stores and
+            uncached loads count DRAM sectors, so cached loads -- the
+            common case -- never pay for them.
     """
 
     __slots__ = (
@@ -166,9 +171,9 @@ class OpPlan:
         "reg_penalty",
         "reg_bucket",
         "segments",
-        "n_segments",
-        "per_line_sectors",
         "outcomes",
+        "cached",
+        "uncached",
     )
 
     def __init__(self, op_class: OpClass, mrf_reads, addrs, line_bytes: int) -> None:
@@ -183,24 +188,11 @@ class OpPlan:
         self.reg_penalty, max_bank = register_conflicts(mrf_reads)
         self.reg_bucket = hist_bucket(max_bank)
         self.segments = None
-        self.n_segments = 0
-        self.per_line_sectors = None
         self.outcomes = None
+        self.cached = None
+        self.uncached = None
         if kind == K_GLOBAL_LOAD or kind == K_GLOBAL_STORE:
             self.segments = coalesce_lines(addrs, line_bytes)
-            self.n_segments = len(self.segments)
-
-    def line_sectors(self, line_bytes: int) -> tuple[int, ...]:
-        """:attr:`per_line_sectors`, computed on first use.
-
-        Only stores and uncached loads consume DRAM-sector counts, so
-        cached loads -- the common case -- never pay for them.
-        ``line_bytes`` must be the plan's line size.
-        """
-        per_line = self.per_line_sectors
-        if per_line is None:
-            per_line = self.per_line_sectors = sectors_per_line(self.addrs, line_bytes)
-        return per_line
 
     def outcome(self, banks, key, shared_base: int) -> tuple[int, int, int, int]:
         """The bank model's verdict on this memory op, memoised under ``key``.
@@ -227,17 +219,40 @@ class OpPlan:
             out = memo[key] = (penalty, hist_bucket(max_bank), rows, arb)
         return out
 
+    def replay(self, cache_enabled: bool, line_bytes: int) -> tuple:
+        """``(replay kind, aux)`` of this global or local op's row.
+
+        Built once per plan and cache mode, so every program holding the
+        plan shares one ``aux`` (laid out as :class:`WarpProgram` says).
+        ``line_bytes`` must be the plan's line size.
+        """
+        load = self.kind == K_GLOBAL_LOAD
+        if not cache_enabled:
+            if self.uncached is None:
+                self.uncached = (
+                    R_GLOBAL_LOAD_NOCACHE if load else R_GLOBAL_STORE_NOCACHE,
+                    sum(sectors_per_line(self.addrs, line_bytes)),
+                )
+            return self.uncached
+        if self.cached is None:
+            aux = (self.segments, tuple(s // line_bytes for s in self.segments))
+            self.cached = (
+                (R_GLOBAL_LOAD, aux) if load
+                else (R_GLOBAL_STORE, (*aux, sectors_per_line(self.addrs, line_bytes)))
+            )
+        return self.cached
+
 
 #: Interned plans, ``_interned[line_bytes][key] -> OpPlan``.  A plan is a
 #: pure function of ``(kind, mrf_reads, addrs)`` at a given line size --
-#: including every lazily-filled field (sector facts and bank memos
-#: depend only on those inputs plus memo keys) -- so ops with equal keys
-#: share one plan object.  Loop-heavy kernels repeat a small set of
-#: operand/address patterns (10-60x dedup on the Table 1 suite), which
-#: keeps the live-object population small (a large tracked heap slows
-#: every CPython GC pass in long suite runs) and lets a plan's memos warm
-#: up across ops, warps, CTAs, and even recompiles of the same trace
-#: under a different register budget.
+#: including every lazily-filled field (sector facts, bank memos and
+#: replay rows depend only on those inputs plus memo keys) -- so ops with
+#: equal keys share one plan object.  Loop-heavy kernels repeat a small
+#: set of operand/address patterns (10-60x dedup on the Table 1 suite),
+#: which keeps the live-object population small (a large tracked heap
+#: slows every CPython GC pass in long suite runs) and lets a plan's
+#: memos warm up across ops, warps, CTAs, and even recompiles of the
+#: same trace under a different register budget.
 _interned: dict[int, dict[tuple, OpPlan]] = {}
 
 
@@ -270,8 +285,9 @@ class ShapeLowering:
     """Everything replay needs from one register shape of a kernel.
 
     Built once per :class:`~repro.compiler.pipeline._ShapeCompilation`
-    and cached on the kernel (the compilation itself is shared by every
-    warp of the shape and never mutated).
+    of a kernel and held by every signature of the shape (the
+    compilation itself is shared by every warp of the shape and never
+    mutated).
 
     Attributes:
         arch_shape: The compilation's ``(op class, dst, srcs)`` per op.
@@ -279,8 +295,10 @@ class ShapeLowering:
         deps: RAW dependency graph as a tuple of per-op producer
             tuples -- ``deps[pc]`` are the pcs whose completion gates
             issue of ``pc`` (the last writer of each source register).
-        rf_totals: ``(mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w)``
-            summed over non-barrier ops.
+        rf_totals: ``(mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w)``, the
+            compilation's ``rf_traffic``.  The reference loop counts
+            them per non-barrier op, and a barrier reads and writes no
+            register, so the shape's totals are the warp's.
         plans: The interned plan of each non-memory op; ``None`` at
             memory ops, whose plans depend on the warp's addresses.
         mem: One ``(pc, op class, mrf_reads, index, slot)`` per memory
@@ -300,15 +318,11 @@ class ShapeLowering:
         # Last-writer RAW analysis: the reference loop's pending dict
         # resolves each source register to the completion of its most
         # recent producer; writes retire in program order, so the
-        # static last-writer map is exact.  RF traffic is accumulated
-        # per op by the reference loop but never consumed mid-run, so
-        # the warp total is added at spawn instead; barriers are skipped
-        # because the reference loop continues before the accounting.
+        # static last-writer map is exact.
         last_writer: dict[int, int] = {}
         deps: list[tuple[int, ...]] = []
         plans: list = [None] * n
         mem = []
-        mrf_r = mrf_w = orf_r = orf_w = lrf_r = lrf_w = 0
         for pc, (entry, (op_class, dst, srcs), tag) in enumerate(
             zip(comp.entries, comp.arch_shape, comp.tags)
         ):
@@ -327,17 +341,12 @@ class ShapeLowering:
                     mem.append((pc, op_class, tag.mrf_reads, entry.at, entry.slot))
             else:
                 # Raises for an op class the simulator cannot time.
-                pl = plans[pc] = intern_plan(op_class, tag.mrf_reads, None, line_bytes)
-                if pl.kind == K_BARRIER:
-                    continue
-            mrf_r += len(tag.mrf_reads)
-            mrf_w += 1 if (tag.mrf_write and dst is not None) else 0
-            orf_r += tag.orf_reads
-            orf_w += 1 if tag.orf_write else 0
-            lrf_r += tag.lrf_reads
-            lrf_w += 1 if tag.lrf_write else 0
+                plans[pc] = intern_plan(op_class, tag.mrf_reads, None, line_bytes)
         self.deps = tuple(deps)
-        self.rf_totals = (mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w)
+        t = comp.rf_traffic
+        self.rf_totals = (
+            t.mrf_reads, t.mrf_writes, t.orf_reads, t.orf_writes, t.lrf_reads, t.lrf_writes
+        )
         self.plans = plans
         self.mem = tuple(mem)
         self.templates: dict[tuple, tuple] = {}
@@ -426,8 +435,9 @@ class WarpProgram:
     coalesced line-segment tuple plus each segment's precomputed cache
     line index (``segment // line_bytes``, hoisted out of the replay
     probe loop); uncached loads/stores the DRAM sector count; cached
-    stores ``(segments, line_indices, burst_bytes)`` with per-line
-    write-through burst sizes.
+    stores ``(segments, line_indices, sectors_per_line)``, each line's
+    write-through burst being its sectors times the transaction size.
+    Each is its plan's (:meth:`OpPlan.replay`), one object per plan.
 
     Non-memory rows are the shape's template rows, shared by every
     program of the shape; only memory rows are built per program.
@@ -442,16 +452,15 @@ class WarpProgram:
         self.totals = totals
 
 
-def _sig_table(kernel: CompiledKernel, line_bytes: int) -> list[tuple[tuple, ...]]:
-    """Signatures for every warp, interned and cached on the kernel.
+def _sig_table(kernel: CompiledKernel, line_bytes: int) -> tuple[list[tuple], list[list[int]]]:
+    """Every warp's signature, cached on the kernel.
 
-    Each register shape is lowered once (:class:`ShapeLowering`, cached
-    under ``("colshape", line_bytes)``); each warp then plans only its
-    memory ops.  Two levels intern: warps with equal (shape,
-    memory plans) share one signature, and CTAs with equal signature
-    rows share one tuple object -- :func:`cta_plan` keys whole-CTA
-    program lookups on that row identity, so a grid of identical CTAs
-    resolves every spawn through a single cache entry.
+    Each register shape is lowered once (:class:`ShapeLowering`); each
+    warp then plans only its memory ops.  Warps with equal (shape,
+    memory plans) share one interned signature.  Returns ``(sigs,
+    rows)``: the distinct signatures, and per CTA each warp's index into
+    ``sigs`` -- what :func:`cta_plan` keys programs on.  Cached under
+    ``("colsig", line_bytes)``.
     """
     cache = kernel._plan_cache
     key = ("colsig", line_bytes)
@@ -459,10 +468,9 @@ def _sig_table(kernel: CompiledKernel, line_bytes: int) -> list[tuple[tuple, ...
     if table is not None:
         return table
     shapes: dict[int, ShapeLowering] = {}
-    cache[("colshape", line_bytes)] = shapes
-    sigs: dict[tuple, tuple] = {}
-    rows_interned: dict[tuple, tuple] = {}
-    table = []
+    index: dict[tuple, int] = {}
+    sigs: list[tuple] = []
+    rows = []
     for cta in kernel.ctas:
         row = []
         for warp in cta.warps:
@@ -470,95 +478,55 @@ def _sig_table(kernel: CompiledKernel, line_bytes: int) -> list[tuple[tuple, ...
             if low is None:
                 low = shapes[id(warp.shape)] = ShapeLowering(warp.shape, line_bytes)
             sig = (low, low.warp_plans(warp, line_bytes))
-            row.append(sigs.setdefault(sig, sig))
-        row = tuple(row)
-        table.append(rows_interned.setdefault(row, row))
-    cache[key] = table
+            n = index.get(sig)
+            if n is None:
+                n = index[sig] = len(sigs)
+                sigs.append(sig)
+            row.append(n)
+        rows.append(row)
+    table = cache[key] = (sigs, rows)
     return table
 
 
-def _mem_skeleton(sig: tuple, cfg, cache_enabled: bool) -> tuple:
-    """Bank-independent part of a signature's memory rows, per config.
-
-    Capacity sweeps re-lower every signature per partition, but of a
-    memory row only the penalties and row counts depend on the bank
-    model: its replay kind and ``aux`` payload (line segments, cache
-    line indices, sector counts, burst sizes) are pure functions of the
-    plan and the config.  Returns ``(mem, tags)``: one ``(pc, plan,
-    plan kind, replay kind, aux, deps)`` per memory op, and the
-    (static) tag-port lookup count.
-    """
-    low, plans = sig
-    line_bytes = cfg.cache_line_bytes
-    txn_bytes = cfg.dram_transaction_bytes
-    deps = low.deps
-    mem = []
-    tags = 0
-    for m, pl in zip(low.mem, plans):
-        pc = m[0]
-        k = pl.kind
-        aux = None
-        if k <= K_SHARED_STORE:
-            rkind = R_SHARED
-        else:  # global / local
-            if cache_enabled:
-                tags += pl.n_segments
-            if k == K_GLOBAL_LOAD:
-                if cache_enabled:
-                    rkind = R_GLOBAL_LOAD
-                    aux = (pl.segments, tuple(s // line_bytes for s in pl.segments))
-                else:
-                    rkind = R_GLOBAL_LOAD_NOCACHE
-                    aux = sum(pl.line_sectors(line_bytes))
-            elif cache_enabled:  # K_GLOBAL_STORE
-                rkind = R_GLOBAL_STORE
-                aux = (
-                    pl.segments,
-                    tuple(s // line_bytes for s in pl.segments),
-                    tuple(ns * txn_bytes for ns in pl.line_sectors(line_bytes)),
-                )
-            else:
-                rkind = R_GLOBAL_STORE_NOCACHE
-                aux = sum(pl.line_sectors(line_bytes))
-        mem.append((pc, pl, k, rkind, aux, deps[pc]))
-    return tuple(mem), tags
-
-
-def _build_program(sig, banks, shared_base, cfg, cache_enabled, skel) -> WarpProgram:
+def _build_program(sig, banks, shared_base, cfg, cache_enabled) -> WarpProgram:
     """Lower one signature against a bank model and CTA base offset.
 
     Copies the shape's row template and fills in the memory rows with
-    their bank outcomes, so a partition sweep pays per-memory-op rather
-    than per-op work.
+    their bank outcomes and their plans' replay kinds and ``aux``, so a
+    partition sweep pays per-memory-op rather than per-op work.
     """
-    low = sig[0]
+    low, plans = sig
     rows, conflict, hist_t = low.template(
         (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
     )
     rows = rows.copy()
+    line_bytes = cfg.cache_line_bytes
     shared_latency = cfg.shared_latency
     shared_key = banks.plan_key(shared_base)
     # A global/local outcome depends on neither the partition nor the
     # CTA base, so one memo entry per bank-model class serves them all.
     global_key = type(banks)
-    mem, tags = skel
+    deps = low.deps
     hist = list(hist_t)
     arb = 0
-    sh_rr = sh_rw = c_rr = c_rw = 0
-    for pc, pl, k, rkind, aux, dep in mem:
+    sh_rr = sh_rw = c_rr = c_rw = tags = 0
+    for m, pl in zip(low.mem, plans):
+        pc = m[0]
+        k = pl.kind
         if k <= K_SHARED_STORE:
             penalty, bucket, n_rows, arb_i = pl.outcome(banks, shared_key, shared_base)
-            rows[pc] = (
-                rkind, float(penalty + 1), float(penalty + shared_latency), aux, dep
-            )
+            a, b = float(penalty + 1), float(penalty + shared_latency)
+            rows[pc] = (R_SHARED, a, b, None, deps[pc])
             if k == K_SHARED_LOAD:
                 sh_rr += n_rows
             else:
                 sh_rw += n_rows
         else:  # global / local
             penalty, bucket, n_rows, arb_i = pl.outcome(banks, global_key, shared_base)
-            rows[pc] = (rkind, float(penalty), float(penalty + 1), aux, dep)
+            rkind, aux = pl.replay(cache_enabled, line_bytes)
+            rows[pc] = (rkind, float(penalty), float(penalty + 1), aux, deps[pc])
             if cache_enabled:
+                tags += len(pl.segments)
                 if k == K_GLOBAL_LOAD:
                     c_rr += n_rows
                 else:
@@ -584,58 +552,36 @@ def cta_plan(
     cfg,
     cache_enabled: bool,
     cta_index: int,
-) -> tuple[tuple[WarpProgram, ...], tuple]:
-    """Replay programs + summed totals for one resident CTA's warps.
+) -> list[WarpProgram]:
+    """The replay programs of one resident CTA's warps, in warp order.
 
-    Returns ``(programs, cta_totals)`` where ``cta_totals`` is the
-    elementwise sum of the per-warp static totals -- one add per CTA
-    spawn instead of one per warp.  Cached per kernel on exactly what a
-    CTA's programs depend on: the interned signature row, the bank
-    model's memo key for the CTA base offset
-    (:meth:`~repro.memory.banks.PartitionedBanks.plan_key`), the
-    latency table, the DRAM transaction size, and whether a cache
-    fronts global memory.  Shared-memory bases recycle as CTAs retire
-    and launch and grids repeat one CTA shape, so steady-state
-    simulation resolves every spawn with a single dict hit.
+    Each program is cached per kernel, under ``("colprog",
+    line_bytes)``, on exactly what it depends on: the bank model's memo
+    key for the CTA base offset
+    (:meth:`~repro.memory.banks.PartitionedBanks.plan_key`), the latency
+    table, whether a cache fronts global memory, and the warp's interned
+    signature: a table per (bank key, config) holds each program at its
+    signature's index.  Shared-memory bases recycle as CTAs retire and
+    launch, and the warps of a grid repeat few signatures, so
+    steady-state simulation resolves a spawn with one table lookup and
+    one list index per warp.
     """
-    cache = kernel._plan_cache
     line_bytes = cfg.cache_line_bytes
-    cta_key = ("colcta", line_bytes)
-    ctas = cache.get(cta_key)
-    if ctas is None:
-        ctas = cache[cta_key] = {}
-    row = _sig_table(kernel, line_bytes)[cta_index]
-    base_key = banks.plan_key(shared_base)
-    cfg_key = (
-        cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency,
-        cfg.shared_latency, cfg.dram_transaction_bytes, cache_enabled,
+    sigs, rows = _sig_table(kernel, line_bytes)
+    tables = kernel._plan_cache.get(("colprog", line_bytes))
+    if tables is None:
+        tables = kernel._plan_cache[("colprog", line_bytes)] = {}
+    key = (
+        banks.plan_key(shared_base), cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency,
+        cfg.shared_latency, cache_enabled,
     )
-    key = (id(row), base_key, cfg_key)
-    plan = ctas.get(key)
-    if plan is None:
-        progs_key = ("colprog", line_bytes)
-        progs = cache.get(progs_key)
-        if progs is None:
-            progs = cache[progs_key] = {}
-        skels_key = ("colskel", line_bytes)
-        skels = cache.get(skels_key)
-        if skels is None:
-            skels = cache[skels_key] = {}
-        out = []
-        for sig in row:
-            pkey = (id(sig), base_key, cfg_key)
-            prog = progs.get(pkey)
-            if prog is None:
-                skey = (id(sig), cfg_key)
-                skel = skels.get(skey)
-                if skel is None:
-                    skel = skels[skey] = _mem_skeleton(sig, cfg, cache_enabled)
-                prog = progs[pkey] = _build_program(
-                    sig, banks, shared_base, cfg, cache_enabled, skel
-                )
-            out.append(prog)
-        cta_totals = tuple(
-            sum(p.totals[i] for p in out) for i in range(N_TOTALS)
-        )
-        plan = ctas[key] = (tuple(out), cta_totals)
-    return plan
+    progs = tables.get(key)
+    if progs is None:
+        progs = tables[key] = [None] * len(sigs)
+    out = []
+    for n in rows[cta_index]:
+        prog = progs[n]
+        if prog is None:
+            prog = progs[n] = _build_program(sigs[n], banks, shared_base, cfg, cache_enabled)
+        out.append(prog)
+    return out

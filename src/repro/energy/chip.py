@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.energy.params import EnergyParams
+from repro.energy.sram import fold_sum
 from repro.sm.result import SimResult
 
 
@@ -118,11 +119,11 @@ class ChipModel:
         base = baseline_cycles if baseline_cycles is not None else chip_result.cycles
         n = chip_result.num_sms
         core_j = n * em.core_dynamic_j(base)
-        bank_j = sum(em.bank_energy_j(r) for r in chip_result.per_sm)
+        bank_j = fold_sum(em.bank_energy_j(r) for r in chip_result.per_sm)
         # Leakage runs until the *chip* finishes: an SM whose CTAs
         # drained early still leaks while others work.
         leakage_j = n * em.leakage_w(chip_result.partition) * runtime_s
-        dram_j = sum(em.dram_j(r) for r in chip_result.per_sm)
+        dram_j = fold_sum(em.dram_j(r) for r in chip_result.per_sm)
         mem_rest = self.non_dram_memory_power_w() * runtime_s
         sm_all = core_j + bank_j + leakage_j
         total = sm_all + dram_j + mem_rest

@@ -33,15 +33,30 @@ TABLE4_POINTS: tuple[tuple[float, float, float], ...] = (
 )
 
 
+def fold_sum(values) -> float:
+    """Sum floats left to right, rounding after every add.
+
+    The builtin ``sum()`` compensates float rounding since Python 3.12,
+    so its last bits differ from 3.11's, and ``math.fsum`` returns the
+    3.12 bits.  This fold returns the same bits on every supported
+    Python: those of ``sum()`` on 3.11, which the committed result
+    digests were recorded with.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _loglog_fit(points: list[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares fit of E = a * C^b in log space; returns (a, b)."""
     xs = [math.log(c) for c, _ in points]
     ys = [math.log(e) for _, e in points]
     n = len(points)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    var = sum((x - mx) ** 2 for x in xs)
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    mx = fold_sum(xs) / n
+    my = fold_sum(ys) / n
+    var = fold_sum((x - mx) ** 2 for x in xs)
+    cov = fold_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     b = cov / var
     a = math.exp(my - b * mx)
     return a, b

@@ -2,15 +2,15 @@
 
 :class:`SMCore` is the state of one SM: its CTA scheduler, bank model,
 cache, MSHR file, DRAM port, observability sink, issue and memory
-pipeline clocks, and run counters.  :func:`repro.sm.simulate` builds one
-core behind a private channel with the whole grid; the chip simulator
-(:mod:`repro.chip`) builds N behind a shared dispatcher and DRAM
-system.  Both run their cores on :func:`repro.sm.replay.run_columnar`
-and close each core with :meth:`SMCore.result`.  The replay frame
-keeps the current core's clocks and cache/DRAM counters in locals and
-writes them back into its :class:`SMCore` and model objects whenever it
-switches to another core's warp and when the run ends, so a core whose
-warps never ran keeps its initial clocks and counters.
+pipeline clocks, and run counters.  The chip simulator
+(:mod:`repro.chip`) builds N behind a shared dispatcher and DRAM system
+-- :func:`repro.sm.simulate` is its one-SM case -- runs them on
+:func:`repro.sm.replay.run_columnar` and closes each core with
+:meth:`SMCore.result`.  The replay frame keeps the current core's
+clocks and cache/DRAM counters in locals and writes them back into its
+:class:`SMCore` and model objects whenever it switches to another
+core's warp and when the run ends, so a core whose warps never ran
+keeps its initial clocks and counters.
 
 :func:`run_event` is the reference that loop is held to.  No production
 code calls it: the equivalence, golden-fixture and observability tests
@@ -102,8 +102,8 @@ class SMCore:
         cfg: SMConfig,
         thread_target: int | None,
         dram,
-        obs=None,
-        cta_source=None,
+        obs,
+        cta_source,
     ) -> None:
         """Build SM ``index`` of a launch of ``kernel`` under ``partition``.
 
@@ -111,17 +111,15 @@ class SMCore:
         :class:`~repro.memory.dram.DRAMChannel` or a
         :class:`~repro.memory.dram.DRAMPort` onto a shared system), with
         any observer already attached; ``obs`` is a live collector or
-        ``None``; ``cta_source`` is the chip dispatcher's port, or
-        ``None`` to launch the whole grid in index order.
+        ``None``; ``cta_source`` is the chip dispatcher's port for this
+        SM.
 
         Raises:
             repro.sm.cta_scheduler.LaunchError: If no CTA fits the
                 partition.
         """
         self.index = index
-        self.scheduler = CTAScheduler(
-            kernel, partition, thread_target, cta_source=cta_source
-        )
+        self.scheduler = CTAScheduler(kernel, partition, thread_target, cta_source)
         self.banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
         # The unified allocator can leave any remainder as cache; model the
         # whole sets and keep the dropped bytes visible in cache.slack_bytes.

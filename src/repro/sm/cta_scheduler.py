@@ -4,7 +4,9 @@ Determines how many CTAs fit a partition (via
 :mod:`repro.core.occupancy`), assigns shared-memory base offsets to
 resident CTAs, and feeds pending CTAs onto the SM as resident ones
 retire -- the behaviour of the hardware work distributor the paper's
-thread-count studies rely on (Sections 3.3 and 4.5).
+thread-count studies rely on (Sections 3.3 and 4.5).  Which CTA comes
+next is the chip's CTA dispatcher's call (:mod:`repro.chip.dispatch`),
+for one SM as for many.
 """
 
 from __future__ import annotations
@@ -36,23 +38,20 @@ class ResidentCTA:
 class CTAScheduler:
     """Launches CTAs of one kernel under a partition's occupancy limits.
 
-    By default the scheduler owns the whole grid and launches its CTAs
-    in index order -- the single-SM methodology of the paper.  A chip
-    simulation passes ``cta_source``, an object with a ``next_cta()``
-    method returning the next grid index to place on *this* SM (or
-    ``None`` when the grid is drained) and a ``remaining`` property, so
-    one kernel launch can be distributed over many SMs by a shared
-    dispatcher (:class:`repro.chip.CTADispatcher`).  With no source, the
-    built-in counter behaves exactly like a source handing out
-    ``0, 1, 2, ...``.
+    ``cta_source`` is an object with a ``next_cta()`` method returning
+    the next grid index to place on *this* SM (or ``None`` when the grid
+    is drained) and a ``remaining`` property: a port onto the chip's
+    shared dispatcher (:class:`repro.chip.CTADispatcher`), which hands
+    one SM the grid in index order -- the single-SM methodology of the
+    paper.
     """
 
     def __init__(
         self,
         kernel: CompiledKernel,
         partition: MemoryPartition,
-        thread_target: int | None = None,
-        cta_source=None,
+        thread_target: int | None,
+        cta_source,
     ) -> None:
         self.kernel = kernel
         self.partition = partition
@@ -74,26 +73,18 @@ class CTAScheduler:
                 f"under {partition.describe()}"
             )
         self._smem = SharedMemoryFile(partition.smem_bytes)
-        self._next_index = 0
         self.max_concurrent = limits.resident_ctas
 
     @property
     def remaining(self) -> int:
-        """CTAs of the grid not yet launched (anywhere, if dispatched)."""
-        if self._source is not None:
-            return self._source.remaining
-        return len(self.kernel.ctas) - self._next_index
+        """CTAs of the grid not yet launched on any SM."""
+        return self._source.remaining
 
     def launch_next(self) -> ResidentCTA | None:
         """Place the next pending CTA, or None when the grid is drained."""
-        if self._source is not None:
-            index = self._source.next_cta()
-            if index is None:
-                return None
-        else:
-            if self._next_index >= len(self.kernel.ctas):
-                return None
-            index = self._next_index
+        index = self._source.next_cta()
+        if index is None:
+            return None
         smem_bytes = self.kernel.launch.smem_bytes_per_cta
         base = self._smem.alloc(smem_bytes)
         if base is None:
@@ -108,8 +99,6 @@ class CTAScheduler:
             shared_base=base,
             warps_outstanding=cta.num_warps,
         )
-        if self._source is None:
-            self._next_index += 1
         return resident
 
     def retire(self, resident: ResidentCTA) -> None:

@@ -8,10 +8,11 @@ a dozen counters from Python object graphs each time; this loop
 fused-row unpack, a few float adds, and (for memory ops) the
 cache/DRAM/MSHR calls that are the model itself.
 Counters never appear in the hot loop -- they were summed per warp at
-compile time and are added once at CTA spawn.  Warps also execute in
-**run batches**: a popped warp keeps stepping inline while its next
-ready time stays strictly below the earliest other heap entry, so
-dependence-limited phases skip heap traffic entirely.
+lowering time and each warp's are added once, when its CTA spawns.
+Warps also execute in **run batches**: a popped warp keeps stepping
+inline while its next ready time stays strictly below the earliest
+other heap entry, so dependence-limited phases skip heap traffic
+entirely.
 
 Bit-identity with the reference loop follows from three facts:
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.compiler.columnar import N_TOTALS, _sig_table, cta_plan
+from repro.compiler.columnar import N_TOTALS, cta_plan
 from repro.compiler.compiled import CompiledKernel
 from repro.isa.opcodes import OpClass
 from repro.memory.dram import DRAMChannel
@@ -99,8 +100,13 @@ def _release_key(w: _ColWarp, release: float) -> float:
 
 
 def _fold_totals(core, spawned: list) -> None:
-    """Sum the spawn-time static totals of a core's CTAs into its counters."""
-    totals = [sum(col) for col in zip(*spawned)] if spawned else [0] * N_TOTALS
+    """Sum the spawn-time static totals of a core's warps into its counters.
+
+    ``spawned`` holds every spawned warp's totals end to end, so each
+    counter is a strided slice; transposing per-warp tuples with ``zip``
+    would allocate an iterator per warp and trigger garbage collections.
+    """
+    totals = [sum(spawned[i::N_TOTALS]) for i in range(N_TOTALS)]
     (
         core.instructions,
         core.conflict_cycles,
@@ -177,8 +183,8 @@ def run_columnar(
     entries keyed exactly as :func:`repro.sm.core.run_event` keys them;
     each popped warp replays while its next ready time stays strictly
     below the earliest other entry, so the issue order is unchanged.
-    Static per-CTA totals are folded into the core counters once at the
-    end.
+    Each spawned warp's static totals are folded into its core's
+    counters once at the end.
 
     Every warp steps in this one frame, so a pop costs no Python call.
     The *current* core's issue clock, memory port, collector, and
@@ -236,29 +242,19 @@ def run_columnar(
     heappop = heapq.heappop
     heappushpop = heapq.heappushpop
     seq = 0
-    # Static totals: one tuple appended per CTA spawn, summed
-    # columnwise once at the end.
+    # Static totals: each spawned warp's laid end to end in its core's
+    # list, summed per counter once at the end.
     spawned: list[list] = [[] for _ in cores]
-    plans: dict = {}
-    # CTA indexes are unique, but grids repeat one CTA shape: the
-    # interned signature row's identity plus the recycled shared-memory
-    # base is exactly what a plan depends on within one run, so keying
-    # on those lets steady-state spawns skip cta_plan's key rebuild.
-    sig_rows = _sig_table(kernel, line_bytes)
 
     def spawn_cta(core: SMCore, now: float) -> bool:
         nonlocal seq
         resident = core.scheduler.launch_next()
         if resident is None:
             return False
-        pkey = (id(sig_rows[resident.index]), resident.shared_base)
-        plan = plans.get(pkey)
-        if plan is None:
-            plan = plans[pkey] = cta_plan(
-                kernel, core.banks, resident.shared_base, cfg, cache_enabled,
-                resident.index,
-            )
-        progs, ctot = plan
+        progs = cta_plan(
+            kernel, core.banks, resident.shared_base, cfg, cache_enabled, resident.index
+        )
+        add_totals = spawned[core.index].extend
         obs = core.obs
         if obs is not None:
             obs.cta_launch(resident.index, now, len(progs))
@@ -273,7 +269,7 @@ def run_columnar(
                 obs.spawn(w.wid, resident.index, wi, now)
             heappush(heap, (now, seq, w, 0, w.rows, w.comp, core))
             seq += 1
-        spawned[core.index].append(ctot)
+            add_totals(prog.totals)
         return True
 
     fill_cores(cores, spawn_cta)
@@ -350,21 +346,23 @@ def run_columnar(
                     if kind == 2:  # global/local load through the cache
                         completion = data_ready
                         if mshr is None:  # legacy blocking miss model
-                            if fast_dram:
-                                for li in aux[1]:
-                                    ss = cache_sets[li % num_sets]
-                                    if li in ss:
-                                        ss.move_to_end(li)
-                                        c_rhit += 1
-                                        done = data_ready + hit_latency
-                                    else:
-                                        c_rmiss += 1
-                                        if len(ss) >= cache_assoc:
-                                            ss.popitem(last=False)
-                                        ss[li] = None
+                            wb_cause = CAUSE_RAW
+                            for li in aux[1]:
+                                ss = cache_sets[li % num_sets]
+                                if li in ss:
+                                    ss.move_to_end(li)
+                                    c_rhit += 1
+                                    done = data_ready + hit_latency
+                                    if obs is not None:
+                                        obs.cache_access(data_ready, True)
+                                else:
+                                    c_rmiss += 1
+                                    if len(ss) >= cache_assoc:
+                                        ss.popitem(last=False)
+                                    ss[li] = None
+                                    if fast_dram:
                                         start = (
-                                            data_ready
-                                            if data_ready > dram_free
+                                            data_ready if data_ready > dram_free
                                             else dram_free
                                         )
                                         dram_free = start + line_service
@@ -372,34 +370,14 @@ def run_columnar(
                                         dram_xfer += line_bytes
                                         dram_busy += line_service
                                         dram_last = data_ready
-                                        done = (
-                                            start + dram_lat + line_service
-                                        )
-                                    if done > completion:
-                                        completion = done
-                            else:  # banked/observed DRAM keeps the call
-                                wb_cause = CAUSE_RAW
-                                for li in aux[1]:
-                                    ss = cache_sets[li % num_sets]
-                                    if li in ss:
-                                        ss.move_to_end(li)
-                                        c_rhit += 1
-                                        done = data_ready + hit_latency
-                                        if obs is not None:
-                                            obs.cache_access(data_ready, True)
-                                    else:
-                                        c_rmiss += 1
-                                        if len(ss) >= cache_assoc:
-                                            ss.popitem(last=False)
-                                        ss[li] = None
-                                        done = dram_request(
-                                            data_ready, line_bytes
-                                        )
-                                        wb_cause = CAUSE_MEMORY
-                                        if obs is not None:
-                                            obs.cache_access(data_ready, False)
-                                    if done > completion:
-                                        completion = done
+                                        done = start + dram_lat + line_service
+                                    else:  # banked/observed DRAM: the call
+                                        done = dram_request(data_ready, line_bytes)
+                                    wb_cause = CAUSE_MEMORY
+                                    if obs is not None:
+                                        obs.cache_access(data_ready, False)
+                                if done > completion:
+                                    completion = done
                         else:  # non-blocking: merge secondaries, stall
                             # on a full file, address the fills
                             wb_cause = CAUSE_RAW
@@ -464,7 +442,8 @@ def run_columnar(
                                 if done > completion:
                                     completion = done
                         comp[pc] = completion
-                    elif kind == 4:  # cached store: write-through bursts
+                    elif kind == 4:  # cached store: a write-through burst
+                        # per line, its sectors times the transaction size
                         for li in aux[1]:
                             ss = cache_sets[li % num_sets]
                             if li in ss:
@@ -477,11 +456,12 @@ def run_columnar(
                                 if obs is not None:
                                     obs.cache_access(data_ready, False)
                         if fast_dram:
-                            for nb in aux[2]:
+                            for ns in aux[2]:
                                 start = (
                                     data_ready if data_ready > dram_free
                                     else dram_free
                                 )
+                                nb = ns * txn_bytes
                                 service = nb / dram_bpc
                                 dram_free = start + service
                                 dram_acc += 1
@@ -489,11 +469,11 @@ def run_columnar(
                                 dram_busy += service
                             dram_last = data_ready
                         elif mshr is None:
-                            for nb in aux[2]:
-                                dram_request(data_ready, nb)
+                            for ns in aux[2]:
+                                dram_request(data_ready, ns * txn_bytes)
                         else:
-                            for seg, nb in zip(aux[0], aux[2]):
-                                dram_request(data_ready, nb, seg)
+                            for seg, ns in zip(aux[0], aux[2]):
+                                dram_request(data_ready, ns * txn_bytes, seg)
                         comp[pc] = issue_done
                     else:  # kind == 5, uncached store
                         if fast_dram:

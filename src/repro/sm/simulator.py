@@ -1,20 +1,21 @@
-"""Single-SM timing simulation: one core, a private channel, the whole grid.
+"""Single-SM timing simulation: the one-SM chip.
 
 See the package docstring (:mod:`repro.sm`) for the modelling contract.
-:func:`simulate` is the one-core case of the chip simulator: it builds
-one :class:`~repro.sm.core.SMCore` and runs it on the columnar replay
-loop (:func:`repro.sm.replay.run_columnar`), the loop
-:func:`repro.chip.simulate_chip` runs N cores on, with or without a
-collector.  ``docs/architecture.md`` describes that loop.
+:func:`simulate` is :func:`repro.chip.simulate_chip` on
+:meth:`ChipConfig.single_sm() <repro.chip.config.ChipConfig.single_sm>`:
+one :class:`~repro.sm.core.SMCore` behind a private channel, fed the
+whole grid by the chip's CTA dispatcher and run on the columnar replay
+loop (:func:`repro.sm.replay.run_columnar`), with or without a
+collector.  Core wiring is written once, in the chip simulator.
+``docs/architecture.md`` describes that loop.
 """
 
 from __future__ import annotations
 
 from repro.compiler.compiled import CompiledKernel
 from repro.core.partition import MemoryPartition
-from repro.sm import replay
 from repro.sm.config import SMConfig
-from repro.sm.core import SimulationError, SMCore
+from repro.sm.core import SimulationError
 from repro.sm.result import SimResult
 
 __all__ = ["SimulationError", "simulate"]
@@ -52,11 +53,10 @@ def simulate(
     Raises:
         repro.sm.cta_scheduler.LaunchError: If no CTA fits the partition.
     """
-    cfg = config or SMConfig()
-    obs = collector if collector is not None and collector.enabled else None
-    dram = cfg.make_dram_channel(
-        observer=obs.dram_transfer if obs is not None else None
-    )
-    core = SMCore(0, kernel, partition, cfg, thread_target, dram, obs)
-    replay.run_columnar(kernel, cfg, [core])
-    return core.result(core.end_cycle())
+    # repro.chip builds on this package, so it is imported at call time.
+    from repro.chip import ChipConfig, simulate_chip
+
+    chip = ChipConfig.single_sm(config or SMConfig())
+    return simulate_chip(
+        kernel, partition, chip, thread_target, collectors=[collector]
+    ).per_sm[0]

@@ -12,15 +12,15 @@ from dataclasses import replace
 from repro.chip.config import ChipConfig
 from repro.chip.simulator import simulate_chip
 from repro.compiler import compile_kernel, pipeline
-from repro.compiler.columnar import ShapeLowering, cta_plan
-from repro.core import fermi_like, partitioned_baseline
+from repro.compiler.columnar import ShapeLowering, _sig_table, cta_plan
+from repro.core import fermi_like, partitioned_baseline, partitioned_design
 from repro.experiments.runner import Runner
 from repro.isa import WarpBuilder
 from repro.memory.banks import make_bank_model
 from repro.obs import ChipCollector, Collector
 from repro.sm import SMConfig
 from repro.sm.simulator import simulate
-from tests.util import multi_warp_kernel, warp_streaming_loads
+from tests.util import multi_warp_kernel, reference_loop, warp_streaming_loads
 
 
 def _spilled(rn, name):
@@ -89,19 +89,56 @@ def test_warps_with_equal_addresses_share_a_program():
     ck = compile_kernel(multi_warp_kernel([same, same, moved], num_ctas=2))
     banks = make_bank_model(partitioned_baseline())
     cfg = SMConfig()
-    progs, _ = cta_plan(ck, banks, 0, cfg, True, 0)
+    progs = cta_plan(ck, banks, 0, cfg, True, 0)
     assert progs[0] is progs[1]
     assert progs[2] is not progs[0]
     assert progs[2].shape is progs[0].shape
     # Equal CTAs at an equal bank key resolve to the same programs.
-    assert cta_plan(ck, banks, 0, cfg, True, 1)[0] is progs
+    again = cta_plan(ck, banks, 0, cfg, True, 1)
+    assert len(again) == len(progs)
+    assert all(p is q for p, q in zip(again, progs))
 
 
 def test_spill_addresses_are_per_warp():
     # Equal trace addresses, but each warp spills to its own region.
     ck = compile_kernel(multi_warp_kernel([_pressure_warp()] * 2), regs_per_thread=4)
     assert ck.spill_slots > 0
-    progs, _ = cta_plan(ck, make_bank_model(partitioned_baseline()), 0, SMConfig(), True, 0)
+    progs = cta_plan(ck, make_bank_model(partitioned_baseline()), 0, SMConfig(), True, 0)
     assert progs[0].shape is progs[1].shape
     assert progs[0] is not progs[1]
     assert progs[0].rows != progs[1].rows
+
+
+def test_kernel_caches_signatures_and_programs_only():
+    """One cache per fact: a kernel keeps its signatures and programs.
+
+    A memory row's replay kind and ``aux`` are its plan's, so programs
+    holding one plan share one ``aux`` object, and no program depends
+    on the DRAM transaction size.
+    """
+    rn = Runner("tiny")
+    ck = rn.compiled("matrixmul")
+    line = rn.config.cache_line_bytes
+    other_cfg = replace(rn.config, mshr_entries=4, dram_transaction_bytes=64)
+    for part in (partitioned_baseline(), partitioned_design(256, 128, 0)):
+        for cfg in (rn.config, other_cfg):
+            simulate(ck, part, cfg)
+    assert set(ck._plan_cache) == {("colsig", line), ("colprog", line)}
+    with reference_loop():
+        expected = simulate(ck, partitioned_baseline(), other_cfg)
+    assert simulate(ck, partitioned_baseline(), other_cfg) == expected
+
+    sigs, _ = _sig_table(ck, line)
+    holders: dict[tuple, int] = {}
+    for (*_, cache_enabled), progs in ck._plan_cache[("colprog", line)].items():
+        for (low, plans), prog in zip(sigs, progs):
+            if prog is None:
+                continue
+            for (pc, *_), pl in zip(low.mem, plans):
+                if pl.segments is None:  # shared memory: no aux
+                    continue
+                assert prog.rows[pc][3] is pl.replay(cache_enabled, line)[1]
+                key = (id(pl), cache_enabled)
+                holders[key] = holders.get(key, 0) + 1
+    assert {cache_enabled for _, cache_enabled in holders} == {False, True}
+    assert max(holders.values()) > 1

@@ -21,6 +21,10 @@ from repro.compiler.columnar import (
     K_SHARED_STORE,
     K_SFU,
     K_TEX,
+    R_GLOBAL_LOAD,
+    R_GLOBAL_LOAD_NOCACHE,
+    R_GLOBAL_STORE,
+    R_GLOBAL_STORE_NOCACHE,
     OpPlan,
     _sig_table,
     clear_plan_cache,
@@ -127,25 +131,30 @@ def test_global_plan_matches_coalescer():
     addrs = tuple((7919 * lane * lane) % (1 << 16) for lane in range(32))
     pl = _plan(_op(OpClass.LOAD_GLOBAL, addrs=addrs))
     assert pl.segments == coalesce_lines(addrs, 128)
-    assert pl.n_segments == len(pl.segments)
-    # sector facts are deferred until a store/uncached-load needs them
-    assert pl.per_line_sectors is None
+    # a cached load's row: the segments and their cache line indices,
+    # built once; sector facts wait for a row that needs them
+    row = pl.replay(True, 128)
+    assert row == (R_GLOBAL_LOAD, (pl.segments, tuple(s // 128 for s in pl.segments)))
+    assert pl.replay(True, 128) is row
+    assert pl.uncached is None
     sectors = coalesce_sectors(addrs)
-    per_line_sectors = pl.line_sectors(128)
-    assert per_line_sectors is pl.per_line_sectors
-    assert sum(per_line_sectors) == len(sectors)
+    assert pl.replay(False, 128) == (R_GLOBAL_LOAD_NOCACHE, len(sectors))
     # per-line grouping replays the store path's ascending-line order
     per_line: dict[int, int] = {}
     for s in sectors:
         per_line[s - s % 128] = per_line.get(s - s % 128, 0) + 1
-    assert pl.per_line_sectors == tuple(per_line.values())
-    assert sectors_per_line(addrs, 128) == pl.per_line_sectors
+    st = _plan(_op(OpClass.STORE_GLOBAL, addrs=addrs))
+    kind, (segments, _, bursts) = st.replay(True, 128)
+    assert (kind, segments) == (R_GLOBAL_STORE, st.segments)
+    assert bursts == tuple(per_line.values()) == sectors_per_line(addrs, 128)
+    assert st.replay(False, 128) == (R_GLOBAL_STORE_NOCACHE, len(sectors))
 
 
 def test_empty_addrs_memory_op_plans_cleanly():
     pl = _plan(_op(OpClass.STORE_GLOBAL, addrs=()))
-    assert pl.n_segments == 0
-    assert pl.line_sectors(128) == ()
+    assert pl.segments == []
+    assert pl.replay(True, 128) == (R_GLOBAL_STORE, ([], (), ()))
+    assert pl.replay(False, 128) == (R_GLOBAL_STORE_NOCACHE, 0)
     part = _models()[0]
     assert _outcome(part, pl, 0) == (0, hist_bucket(0), 0, 0)
     for m in _models():
@@ -225,11 +234,11 @@ def test_lowering_interns_identical_ops():
     clear_plan_cache()
     runner = Runner("tiny")
     ck = runner.compiled("matrixmul")
-    table = _sig_table(ck, 128)
+    sigs, rows = _sig_table(ck, 128)
     by_key: dict[tuple, OpPlan] = {}
     total = 0
-    for cta, row in zip(ck.ctas, table):
-        for warp, (low, mem_plans) in zip(cta.warps, row):
+    for cta, row in zip(ck.ctas, rows):
+        for warp, (low, mem_plans) in zip(cta.warps, (sigs[n] for n in row)):
             plans = list(low.plans)
             for (pc, *_), pl in zip(low.mem, mem_plans):
                 plans[pc] = pl
@@ -246,7 +255,8 @@ def test_lowering_interns_identical_ops():
 
     ck2 = compile_kernel(runner.trace("matrixmul"))
     assert ck2 is not ck
-    (low, mem_plans), (low2, mem_plans2) = table[0][0], _sig_table(ck2, 128)[0][0]
+    sigs2, rows2 = _sig_table(ck2, 128)
+    (low, mem_plans), (low2, mem_plans2) = sigs[rows[0][0]], sigs2[rows2[0][0]]
     assert low2 is not low  # shape lowerings are per kernel
     assert mem_plans2[0] is mem_plans[0]
     assert next(p for p in low2.plans if p) is next(p for p in low.plans if p)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy import TABLE4_POINTS, bank_energy
-from repro.energy.sram import READ_FIT, WRITE_FIT
+from repro.energy.sram import READ_FIT, WRITE_FIT, fold_sum
 
 
 class TestTable4Calibration:
@@ -30,6 +30,24 @@ class TestTable4Calibration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bank_energy(-1)
+
+
+class TestSameBitsOnEveryPython:
+    """The fit sums floats by a plain fold, not ``sum()`` (compensated
+    since Python 3.12) nor ``math.fsum``, so every Python computes the
+    bits the committed result digests were recorded with."""
+
+    def test_fit_constants_are_pinned(self):
+        assert READ_FIT.a.hex() == "0x1.42460488a8cb0p+1"
+        assert READ_FIT.b.hex() == "0x1.47d75fe9f2b10p-1"
+        assert WRITE_FIT.a.hex() == "0x1.af3651747781ap+1"
+        assert WRITE_FIT.b.hex() == "0x1.333f8457d8c45p-1"
+
+    def test_fold_rounds_after_every_add(self):
+        # 1e16 + 1.0 rounds back to 1e16 each time; a compensated sum
+        # would carry the two ones and return 1e16 + 2.
+        assert fold_sum([1e16, 1.0, 1.0]) == 1e16
+        assert fold_sum([]) == 0.0
 
 
 class TestScaling:

@@ -16,7 +16,11 @@ no plan or memo with replay, so this sweep also checks planning and
 lowering.  The partitions cover every bank model: the baseline and a
 Fermi-like split (partitioned), and the unified design under both its
 per-bank conflict model and the strict cluster-port ablation
-(``@clusterport``).
+(``@clusterport``).  ``nocache`` gives global memory no cache at all,
+so its loads and stores take the uncached rows; the module's runner
+shares compiled kernels (and their lowering caches) with the cached
+arms, so a program key that forgot whether a cache fronts global
+memory would hand these arms a cached program.
 """
 
 from contextlib import nullcontext
@@ -27,7 +31,7 @@ import pytest
 
 from repro.chip.config import ChipConfig
 from repro.chip.simulator import simulate_chip
-from repro.core import fermi_like, partitioned_baseline
+from repro.core import fermi_like, partitioned_baseline, partitioned_design
 from repro.experiments.runner import Runner
 from repro.isa import WarpOp
 from repro.isa.opcodes import OpClass
@@ -42,7 +46,9 @@ from tests.util import (
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 SPILL_KERNELS = ("dgemm@spill", "lu@spill", "needle@spill", "bfs@spill")
-PARTITIONS = ("baseline", "fermi0", "unified384", "unified384@clusterport")
+PARTITIONS = (
+    "baseline", "fermi0", "unified384", "unified384@clusterport", "nocache"
+)
 MSHRS = (0, 4)
 
 
@@ -65,6 +71,8 @@ def _partition(runner, kernel, name):
         return partitioned_baseline()
     if name == "fermi0":
         return fermi_like(0)
+    if name == "nocache":
+        return partitioned_design(256, 128, 0)
     try:
         return runner.allocation(kernel.partition("@")[0]).partition
     except Exception:
@@ -111,7 +119,7 @@ def _chip_arms():
     arms = []
     for kernel, part_name, mshr, num_sms, part_dram in product(
         ("vectoradd", "needle", "lu@spill", "dgemm@spill"),
-        ("baseline", "unified384"),
+        ("baseline", "unified384", "nocache"),
         MSHRS,
         (4, 3),
         (False, True),
