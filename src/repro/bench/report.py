@@ -13,7 +13,6 @@ from __future__ import annotations
 import datetime
 import json
 import platform
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -365,8 +364,3 @@ def compare_payloads(old: dict, new: dict, threshold: float = 1.15) -> CompareRe
             for i in sorted(new_by_id.keys() - old_by_id.keys())
         ],
     )
-
-
-def print_compare(report: CompareReport, out=sys.stdout) -> None:
-    """Write a comparison report to ``out``."""
-    print(report.format(), file=out)

@@ -15,7 +15,7 @@ golden fixtures) bit for bit; see :doc:`docs/chip`.
 """
 
 from repro.chip.config import ChipConfig, chip_fingerprint
-from repro.chip.dispatch import CTADispatcher, DispatchPort
+from repro.chip.dispatch import CTADispatcher
 from repro.chip.result import ChipResult
 from repro.chip.serialize import (
     CHIP_RESULT_FORMAT_VERSION,
@@ -30,7 +30,6 @@ __all__ = [
     "ChipConfig",
     "chip_fingerprint",
     "CTADispatcher",
-    "DispatchPort",
     "ChipResult",
     "CHIP_RESULT_FORMAT_VERSION",
     "chip_result_to_dict",

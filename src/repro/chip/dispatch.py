@@ -33,7 +33,8 @@ class CTADispatcher:
         """CTAs of the grid not yet handed to any SM."""
         return self.num_ctas - self._next
 
-    def _check_sm_index(self, sm_index: int) -> None:
+    def next_cta(self, sm_index: int) -> int | None:
+        """The next CTA for ``sm_index``, or None when the grid is drained."""
         # A negative index would silently append to the wrong SM's
         # assignment list via Python's wraparound indexing.
         if not 0 <= sm_index < len(self.assignments):
@@ -42,35 +43,9 @@ class CTADispatcher:
                 f"{len(self.assignments)}-SM dispatcher (expected 0 <= "
                 f"sm_index < {len(self.assignments)})"
             )
-
-    def next_cta(self, sm_index: int) -> int | None:
-        """The next CTA for ``sm_index``, or None when the grid is drained."""
-        self._check_sm_index(sm_index)
         if self._next >= self.num_ctas:
             return None
         index = self._next
         self._next += 1
         self.assignments[sm_index].append(index)
         return index
-
-    def port(self, sm_index: int) -> "DispatchPort":
-        """A per-SM view usable as a CTAScheduler ``cta_source``."""
-        return DispatchPort(self, sm_index)
-
-
-class DispatchPort:
-    """One SM's handle on the shared dispatcher (the ``cta_source`` shape)."""
-
-    __slots__ = ("dispatcher", "sm_index")
-
-    def __init__(self, dispatcher: CTADispatcher, sm_index: int) -> None:
-        dispatcher._check_sm_index(sm_index)
-        self.dispatcher = dispatcher
-        self.sm_index = sm_index
-
-    @property
-    def remaining(self) -> int:
-        return self.dispatcher.remaining
-
-    def next_cta(self) -> int | None:
-        return self.dispatcher.next_cta(self.sm_index)

@@ -147,10 +147,7 @@ def simulate_chip(
                 observer=hook, bytes_per_cycle=cfg.sm_bandwidth_slice
             )
         cores.append(
-            SMCore(
-                i, kernel, partition, sm_cfg, thread_target, dram, obs,
-                dispatcher.port(i),
-            )
+            SMCore(i, kernel, partition, sm_cfg, thread_target, dram, obs, dispatcher)
         )
 
     replay.run_columnar(kernel, sm_cfg, cores, chip_obs)

@@ -72,10 +72,6 @@ class RFTrafficCounts:
         return self.mrf_reads + self.orf_reads + self.lrf_reads
 
     @property
-    def total_writes(self) -> int:
-        return self.mrf_writes + self.orf_writes + self.lrf_writes
-
-    @property
     def mrf_read_fraction(self) -> float:
         """Fraction of operand reads served by the MRF.
 

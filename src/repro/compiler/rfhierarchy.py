@@ -129,10 +129,3 @@ def tag_hierarchy(shape: list[ShapeOp], orf_entries: int = ORF_ENTRIES) -> list[
             lrf = None
             orf.clear()
     return tags
-
-
-def mrf_write_registers(op_dst: int | None, tag: OperandTags) -> tuple[int, ...]:
-    """Registers this instruction writes to MRF banks."""
-    if tag.mrf_write and op_dst is not None:
-        return (op_dst,)
-    return ()

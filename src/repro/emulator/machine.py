@@ -68,10 +68,6 @@ class MemoryImage:
     def write(self, addr: int, value: int) -> None:
         self._data[addr] = value & _MASK32
 
-    @property
-    def written_locations(self) -> int:
-        return len(self._data)
-
 
 class _WarpMachine:
     def __init__(

@@ -41,9 +41,6 @@ class EnergyBreakdown:
     def total_j(self) -> float:
         return self.core_dynamic_j + self.bank_j + self.leakage_j + self.dram_j
 
-    def ratio_to(self, baseline: "EnergyBreakdown") -> float:
-        return self.total_j / baseline.total_j
-
     def summary(self) -> str:
         t = self.total_j
         return (

@@ -30,8 +30,12 @@ simply misses rather than mis-reads.  Invalidation rules:
   deleted and the artefact regenerated (never a crash);
 * **stale entries** (written under an older format version) hash to a
   different path or fail the decoder's version check, same outcome;
-* writes are atomic (temp file + ``os.replace``), so a killed run never
-  leaves a half-written entry that a later run would trust.
+* **meta entries of the wrong shape** (valid JSON the Runner cannot
+  decode) are a miss to the Runner, which recomputes the artefact and
+  overwrites the entry;
+* writes are atomic (temp file + ``os.replace``, all in
+  ``DiskCache._write``), so a killed run never leaves a half-written
+  entry that a later run would trust.
 """
 
 from __future__ import annotations
@@ -39,13 +43,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.isa.io import load_trace, save_trace
 from repro.isa.kernel import KernelTrace
 from repro.sm.result import SimResult
 from repro.sm.serialize import load_result, save_result
+
+
+def _read_meta(path: Path) -> dict:
+    payload = json.loads(path.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("meta entry must be a JSON object")
+    return payload
 
 
 def cache_key_digest(key: object) -> str:
@@ -111,82 +124,48 @@ class DiskCache:
     def meta_path(self, key: object) -> Path:
         return self.root / "meta" / f"{cache_key_digest(key)}.json"
 
-    # -- atomic write helper ----------------------------------------------
+    # -- the one load path and the one write path ---------------------------
+    def _load(self, kind: str, path: Path, read: Callable[[Path], object]):
+        """``read(path)`` as a ``kind`` hit; a miss if absent or unreadable (then deleted)."""
+        value = None
+        if path.exists():
+            try:
+                value = read(path)
+            except Exception:
+                self.stats.invalidated += 1
+                with suppress(OSError):
+                    path.unlink()
+        counter = f"{kind}_{'misses' if value is None else 'hits'}"
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        return value
+
     @staticmethod
-    def _replace(tmp: Path, final: Path) -> None:
-        os.replace(tmp, final)
+    def _write(path: Path, write: Callable[[Path], object]) -> Path:
+        """``write`` a temp file beside ``path``, then atomically replace it."""
+        tmp = path.with_name(f".{os.getpid()}-{path.name}")
+        write(tmp)
+        os.replace(tmp, path)
+        return path
 
-    def _drop(self, path: Path) -> None:
-        self.stats.invalidated += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    # -- traces -----------------------------------------------------------
+    # -- entries: traces, simulation results, small JSON artefacts ----------
     def get_trace(self, key: object) -> KernelTrace | None:
-        path = self.trace_path(key)
-        if not path.exists():
-            self.stats.trace_misses += 1
-            return None
-        try:
-            trace = load_trace(path)
-        except Exception:
-            self._drop(path)
-            self.stats.trace_misses += 1
-            return None
-        self.stats.trace_hits += 1
-        return trace
+        return self._load("trace", self.trace_path(key), load_trace)
 
     def put_trace(self, key: object, trace: KernelTrace) -> None:
-        path = self.trace_path(key)
-        tmp = path.with_name(f".{os.getpid()}-{path.name}")
-        save_trace(trace, tmp)
-        self._replace(tmp, path)
+        self._write(self.trace_path(key), lambda tmp: save_trace(trace, tmp))
 
-    # -- simulation results -----------------------------------------------
     def get_result(self, key: object) -> SimResult | None:
-        path = self.result_path(key)
-        if not path.exists():
-            self.stats.result_misses += 1
-            return None
-        try:
-            result = load_result(path)
-        except Exception:
-            self._drop(path)
-            self.stats.result_misses += 1
-            return None
-        self.stats.result_hits += 1
-        return result
+        return self._load("result", self.result_path(key), load_result)
 
     def put_result(self, key: object, result: SimResult) -> None:
-        path = self.result_path(key)
-        tmp = path.with_name(f".{os.getpid()}-{path.name}")
-        save_result(result, tmp)
-        self._replace(tmp, path)
+        self._write(self.result_path(key), lambda tmp: save_result(result, tmp))
 
-    # -- small JSON artefacts (compile summaries, allocations) -------------
     def get_meta(self, key: object) -> dict | None:
-        path = self.meta_path(key)
-        if not path.exists():
-            self.stats.meta_misses += 1
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("meta entry must be a JSON object")
-        except Exception:
-            self._drop(path)
-            self.stats.meta_misses += 1
-            return None
-        self.stats.meta_hits += 1
-        return payload
+        """A meta entry (compile summary, allocation, ...); a JSON object."""
+        return self._load("meta", self.meta_path(key), _read_meta)
 
     def put_meta(self, key: object, payload: dict) -> None:
-        path = self.meta_path(key)
-        tmp = path.with_name(f".{os.getpid()}-{path.name}")
-        tmp.write_text(json.dumps(payload))
-        self._replace(tmp, path)
+        self._write(self.meta_path(key), lambda tmp: tmp.write_text(json.dumps(payload)))
 
     # -- run manifests ------------------------------------------------------
     @staticmethod
@@ -236,10 +215,10 @@ class DiskCache:
 
         directory = self.root / "spans"
         directory.mkdir(parents=True, exist_ok=True)
-        path = self._unique_path(directory / default_spans_name(payload))
-        tmp = path.with_name(f".{os.getpid()}-{path.name}")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        self._replace(tmp, path)
+        path = self._write(
+            self._unique_path(directory / default_spans_name(payload)),
+            lambda tmp: tmp.write_text(json.dumps(payload, indent=2, sort_keys=True)),
+        )
 
         index_path = directory / "index.json"
         try:
@@ -259,9 +238,7 @@ class DiskCache:
                 ],
             }
         )
-        tmp = index_path.with_name(f".{os.getpid()}-{index_path.name}")
-        tmp.write_text(json.dumps(index, indent=2))
-        self._replace(tmp, index_path)
+        self._write(index_path, lambda tmp: tmp.write_text(json.dumps(index, indent=2)))
         return path
 
     def spans_paths(self) -> list[Path]:

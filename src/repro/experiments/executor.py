@@ -23,6 +23,8 @@ that grid over a ``multiprocessing`` pool:
 Failures a sweep *expects* (a configuration that cannot launch, an
 allocation that does not fit) are journaled and replayed exactly like
 results; anything else propagates out of :meth:`Executor.prime`.
+Serial and forked runs time a job, catch its expected failure and take
+its disk-cache stats delta in one function, ``_timed_job``.
 """
 
 from __future__ import annotations
@@ -198,12 +200,8 @@ def _stats_snapshot(cache) -> dict[str, int]:
     return {f.name: getattr(cache.stats, f.name) for f in fields(cache.stats)}
 
 
-def _run_job(
-    indexed: tuple[int, Job],
-) -> tuple[int, float, float, str | None, list, dict[str, int] | None, int]:
-    idx, job = indexed
-    rn = _FORK_RUNNER
-    rn.journal_reset()
+def _timed_job(rn: Runner, job: Job) -> tuple[float, float, str | None, dict[str, int] | None]:
+    """Run one job: its start and end stamps, expected error, and cache-stats delta."""
     before = _stats_snapshot(rn.cache) if rn.cache is not None else None
     start = time.perf_counter()
     error = None
@@ -212,14 +210,24 @@ def _run_job(
     except _EXPECTED as e:
         error = f"{type(e).__name__}: {e}"
     end = time.perf_counter()
-    # Disk-cache hits land in the worker; ship the per-job delta so the
-    # parent's summary still reports them.
-    stats = None
-    if rn.cache is not None:
+    delta = None
+    if before is not None:
         after = _stats_snapshot(rn.cache)
-        stats = {k: after[k] - before[k] for k in after}
-    # Workers are forked, so these perf_counter stamps share the
-    # parent's CLOCK_MONOTONIC base and line up on one span timeline.
+        delta = {k: after[k] - before[k] for k in after}
+    return start, end, error, delta
+
+
+def _run_job(
+    indexed: tuple[int, Job],
+) -> tuple[int, float, float, str | None, list, dict[str, int] | None, int]:
+    idx, job = indexed
+    rn = _FORK_RUNNER
+    rn.journal_reset()
+    # Disk-cache hits land in the worker; the stats delta lets the
+    # parent's summary still report them.  Workers are forked, so the
+    # perf_counter stamps share the parent's CLOCK_MONOTONIC base and
+    # line up on one span timeline.
+    start, end, error, stats = _timed_job(rn, job)
     return idx, start, end, error, rn.journal_reset(), stats, os.getpid()
 
 
@@ -300,24 +308,11 @@ class Executor:
         self, jobs: list[Job], report: ExecutionReport, submit: float
     ) -> None:
         for i, job in enumerate(jobs):
-            before = None
-            if self.spans is not None and self.runner.cache is not None:
-                before = _stats_snapshot(self.runner.cache)
-            start = time.perf_counter()
-            error = None
-            try:
-                _execute(self.runner, job)
-            except _EXPECTED as e:
-                error = f"{type(e).__name__}: {e}"
-            end = time.perf_counter()
+            start, end, error, delta = _timed_job(self.runner, job)
             outcome = JobOutcome(job, end - start, error)
             report.outcomes.append(outcome)
             self._note(i + 1, len(jobs), outcome)
             if self.spans is not None:
-                delta = None
-                if before is not None:
-                    after = _stats_snapshot(self.runner.cache)
-                    delta = {k: after[k] - before[k] for k in after}
                 self.spans.record_job(
                     job=job,
                     index=i,

@@ -15,7 +15,8 @@ Two cache layers:
   processes and runs: traces persist as ``.npz`` via
   :mod:`repro.isa.io`, simulation results as JSON via
   :mod:`repro.sm.serialize`, and compile summaries / unified
-  allocations / expected failures as small JSON "meta" entries.
+  allocations / chip results / expected failures as small JSON "meta"
+  entries.
 
 Every simulation memo key folds in a fingerprint of the
 :class:`SMConfig`, so two runners sharing a disk cache -- or config
@@ -27,6 +28,10 @@ is armed (:meth:`Runner.journal_reset`), every newly memoised
 simulation, allocation, compile summary, and expected failure is
 recorded as a ``(kind, key, value)`` entry, which a parent process can
 :meth:`Runner.adopt` to warm its own memo without redoing the work.
+
+One method, ``Runner._make``, makes every journaled artefact, and
+``_KINDS`` gives each kind its disk-key versions and codec.  An entry
+that does not decode is a miss; the recomputed artefact overwrites it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 import repro
 from repro.chip import (
@@ -145,6 +151,72 @@ def _raise_expected(record: tuple[str, str]) -> None:
     raise EXPECTED_ERRORS[kind](message)
 
 
+def _refusal_to_dict(record: tuple[str, str]) -> dict:
+    return {"error": record[0], "message": record[1]}
+
+
+def _refusal_from_dict(d: dict) -> tuple[str, str]:
+    if d["error"] not in EXPECTED_ERRORS:
+        raise ValueError(f"unknown refusal {d['error']!r}")
+    return d["error"], d["message"]
+
+
+def _alloc_to_dict(alloc: UnifiedAllocation) -> dict:
+    return {
+        "partition": partition_to_dict(alloc.partition),
+        "resident_ctas": alloc.resident_ctas,
+        "resident_threads": alloc.resident_threads,
+    }
+
+
+def _alloc_from_dict(d: dict) -> UnifiedAllocation:
+    return UnifiedAllocation(
+        partition=partition_from_dict(d["partition"]),
+        resident_ctas=d["resident_ctas"],
+        resident_threads=d["resident_threads"],
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class _Kind:
+    """How one journaled kind is stored in the disk cache.
+
+    Its disk key is ``(kind, *versions, repro.__version__, scale, key)``.
+    A kind without a codec is a :class:`SimResult` result entry; the
+    others are meta entries.  ``refusal`` names the kind that remembers
+    the expected error class its computation may raise.
+    """
+
+    versions: tuple = ()
+    encode: Callable[[Any], dict] | None = None
+    decode: Callable[[dict], Any] | None = None
+    refusal: tuple[str, type[Exception]] | None = None
+
+
+_KINDS: dict[str, _Kind] = {
+    "sim": _Kind((RESULT_FORMAT_VERSION,), refusal=("sim_error", LaunchError)),
+    # Both schema versions: the chip envelope's and the per-SM result
+    # format the envelope embeds.
+    "chip": _Kind(
+        (CHIP_RESULT_FORMAT_VERSION, RESULT_FORMAT_VERSION),
+        chip_result_to_dict,
+        chip_result_from_dict,
+    ),
+    "sim_error": _Kind((), _refusal_to_dict, _refusal_from_dict),
+    "alloc": _Kind((), _alloc_to_dict, _alloc_from_dict, ("alloc_error", AllocationError)),
+    "alloc_error": _Kind((), _refusal_to_dict, _refusal_from_dict),
+    "summary": _Kind((), CompiledSummary.to_dict, CompiledSummary.from_dict),
+}
+
+
+class _Memo(dict):
+    """One dict per journaled kind, plus the journal (``None`` until armed)."""
+
+    def __init__(self) -> None:
+        super().__init__((kind, {}) for kind in _KINDS)
+        self.journal: list[tuple[str, tuple, object]] | None = None
+
+
 class Runner:
     """Caching façade over the kernel suite and the SM simulator.
 
@@ -168,76 +240,89 @@ class Runner:
         self.energy_model = EnergyModel()
         self._traces: dict[tuple, KernelTrace] = {}
         self._compiled: dict[tuple, CompiledKernel] = {}
-        self._sims: dict[tuple, SimResult] = {}
-        self._chips: dict[tuple, ChipResult] = {}
-        self._sim_errors: dict[tuple, tuple[str, str]] = {}
-        self._allocs: dict[tuple, UnifiedAllocation] = {}
-        self._alloc_errors: dict[tuple, tuple[str, str]] = {}
-        self._summaries: dict[tuple, CompiledSummary] = {}
-        self._journal: list[tuple[str, tuple, object]] | None = None
-        self._journal_host: Runner = self
+        self._memo = _Memo()
 
     def variant(self, config: SMConfig) -> "Runner":
         """A runner for a different SMConfig sharing every memo.
 
         Simulation keys embed the config fingerprint, so the shared
-        ``_sims`` dict cannot mix results across configs; traces,
-        compiles, and allocations are config-independent and genuinely
-        shared.  Journal entries recorded through a variant land on the
-        originating runner, so the executor sees one stream.
+        memo cannot mix results across configs; traces, compiles, and
+        allocations are config-independent and genuinely shared.  The
+        journal is shared too, so the executor sees one stream.
         """
         v = Runner(self.scale, config, cache=self.cache)
-        v._traces = self._traces
-        v._compiled = self._compiled
-        v._sims = self._sims
-        v._chips = self._chips
-        v._sim_errors = self._sim_errors
-        v._allocs = self._allocs
-        v._alloc_errors = self._alloc_errors
-        v._summaries = self._summaries
-        v._journal_host = self._journal_host
+        v._traces, v._compiled, v._memo = self._traces, self._compiled, self._memo
         return v
 
     # -- journal (executor delta shipping) --------------------------------
     def journal_reset(self) -> list[tuple[str, tuple, object]]:
         """Arm the journal and return entries recorded since last reset."""
-        host = self._journal_host
-        entries = host._journal or []
-        host._journal = []
+        entries = self._memo.journal or []
+        self._memo.journal = []
         return entries
-
-    def _record(self, kind: str, key: tuple, value) -> None:
-        host = self._journal_host
-        if host._journal is not None:
-            host._journal.append((kind, key, value))
 
     def adopt(self, entries) -> None:
         """Merge journal entries from another Runner (worker process)."""
-        memos = {
-            "sim": self._sims,
-            "chip": self._chips,
-            "sim_error": self._sim_errors,
-            "alloc": self._allocs,
-            "alloc_error": self._alloc_errors,
-            "summary": self._summaries,
-        }
         for kind, key, value in entries:
-            memos[kind].setdefault(tuple(key), value)
+            self._memo[kind].setdefault(tuple(key), value)
+
+    # -- the artefact protocol ----------------------------------------------
+    def _make(self, kind: str, key: tuple, compute: Callable[[], Any], lookup: bool = True):
+        """Make one journaled artefact: the one path every kind takes.
+
+        Tries the memo, a remembered refusal, the disk entry and a disk
+        refusal, then ``compute``, keeping its result -- or the refusal
+        it raised -- in the memo, the journal and the disk cache.
+        ``lookup=False`` skips to ``compute`` and overwrites the memo.
+        """
+        refusal, refused_by = _KINDS[kind].refusal or (None, ())
+        if lookup:
+            if key in self._memo[kind]:
+                return self._memo[kind][key]
+            if refusal and key in self._memo[refusal]:
+                _raise_expected(self._memo[refusal][key])
+            if self.cache is not None:
+                value = self._load(kind, key)
+                if value is not None:
+                    return self._keep(kind, key, value, store=False)
+                record = self._load(refusal, key) if refusal else None
+                if record is not None:
+                    _raise_expected(self._keep(refusal, key, record, store=False))
+        try:
+            value = compute()
+        except refused_by as e:
+            self._keep(refusal, key, (refused_by.__name__, str(e)))
+            raise
+        return self._keep(kind, key, value)
+
+    def _keep(self, kind: str, key: tuple, value, store: bool = True):
+        """Remember ``value`` in the memo and the journal, and on disk if ``store``."""
+        self._memo[kind][key] = value
+        if self._memo.journal is not None:
+            self._memo.journal.append((kind, key, value))
+        if store and self.cache is not None:
+            encode = _KINDS[kind].encode
+            if encode is None:
+                self.cache.put_result(self._disk_key(kind, key), value)
+            else:
+                self.cache.put_meta(self._disk_key(kind, key), encode(value))
+        return value
+
+    def _load(self, kind: str, key: tuple):
+        """The disk entry of ``kind`` at ``key``; None if absent or malformed."""
+        decode = _KINDS[kind].decode
+        if decode is None:
+            return self.cache.get_result(self._disk_key(kind, key))
+        payload = self.cache.get_meta(self._disk_key(kind, key))
+        try:
+            return None if payload is None else decode(payload)
+        except (KeyError, TypeError, ValueError):
+            return None
+
+    def _disk_key(self, kind: str, key: tuple) -> tuple:
+        return (kind, *_KINDS[kind].versions, repro.__version__, self.scale, key)
 
     # -- cache keys -------------------------------------------------------
-    def _config_key(self) -> tuple:
-        return config_fingerprint(self.config)
-
-    def _trace_disk_key(self, name: str, params: tuple) -> tuple:
-        return (
-            "trace",
-            trace_io.FORMAT_VERSION,
-            repro.__version__,
-            self.scale,
-            name,
-            params,
-        )
-
     def sim_key(
         self,
         name: str,
@@ -253,11 +338,8 @@ class Runner:
             _partition_key(partition),
             thread_target,
             tuple(sorted(params.items())),
-            self._config_key(),
+            config_fingerprint(self.config),
         )
-
-    def _sim_disk_key(self, key: tuple) -> tuple:
-        return ("sim", RESULT_FORMAT_VERSION, repro.__version__, self.scale, key)
 
     def chip_sim_key(
         self,
@@ -284,30 +366,6 @@ class Runner:
             chip_fingerprint(chip),
         )
 
-    def _chip_disk_key(self, key: tuple) -> tuple:
-        # Folds in both schema versions: the chip envelope's and the
-        # per-SM result format the envelope embeds.
-        return (
-            "chip",
-            CHIP_RESULT_FORMAT_VERSION,
-            RESULT_FORMAT_VERSION,
-            repro.__version__,
-            self.scale,
-            key,
-        )
-
-    def _sim_error_disk_key(self, key: tuple) -> tuple:
-        return ("sim_error", repro.__version__, self.scale, key)
-
-    def _summary_disk_key(self, key: tuple) -> tuple:
-        return ("summary", repro.__version__, self.scale, key)
-
-    def _alloc_disk_key(self, key: tuple) -> tuple:
-        return ("alloc", repro.__version__, self.scale, key)
-
-    def _alloc_error_disk_key(self, key: tuple) -> tuple:
-        return ("alloc_error", repro.__version__, self.scale, key)
-
     @staticmethod
     def _split_params(params: dict) -> tuple[dict, dict]:
         """Separate trace build params from compile params.
@@ -327,7 +385,7 @@ class Runner:
         if key not in self._traces:
             trace = None
             if self.cache is not None:
-                disk_key = self._trace_disk_key(name, key[1])
+                disk_key = ("trace", trace_io.FORMAT_VERSION, repro.__version__, self.scale, *key)
                 trace = self.cache.get_trace(disk_key)
             if trace is None:
                 trace = get_benchmark(name).build(self.scale, **build)
@@ -339,18 +397,17 @@ class Runner:
     def compiled(self, name: str, regs: int | None = None, **params) -> CompiledKernel:
         key = (name, regs, tuple(sorted(params.items())))
         if key not in self._compiled:
-            build, comp = self._split_params(params)
-            ck = compile_kernel(self.trace(name, **build), regs, **comp)
-            self._compiled[key] = ck
-            if key not in self._summaries:
-                self._store_summary(key, CompiledSummary.of(ck))
+            ck = self._compile(key, name, regs, params)
+            # Workers ship summaries, never kernels: each compile keeps one.
+            if key not in self._memo["summary"]:
+                self._keep("summary", key, CompiledSummary.of(ck))
         return self._compiled[key]
 
-    def _store_summary(self, key: tuple, summary: CompiledSummary) -> None:
-        self._summaries[key] = summary
-        self._record("summary", key, summary)
-        if self.cache is not None:
-            self.cache.put_meta(self._summary_disk_key(key), summary.to_dict())
+    def _compile(self, key: tuple, name: str, regs: int | None, params: dict) -> CompiledKernel:
+        """Compile into the kernel memo; the caller keeps the summary."""
+        build, comp = self._split_params(params)
+        ck = self._compiled[key] = compile_kernel(self.trace(name, **build), regs, **comp)
+        return ck
 
     def summary(self, name: str, regs: int | None = None, **params) -> CompiledSummary:
         """Compile facts without the instruction stream (cache-friendly).
@@ -361,17 +418,11 @@ class Runner:
         processes for pennies.
         """
         key = (name, regs, tuple(sorted(params.items())))
-        if key in self._summaries:
-            return self._summaries[key]
-        if self.cache is not None:
-            payload = self.cache.get_meta(self._summary_disk_key(key))
-            if payload is not None:
-                summary = CompiledSummary.from_dict(payload)
-                self._summaries[key] = summary
-                self._record("summary", key, summary)
-                return summary
-        self.compiled(name, regs, **params)
-        return self._summaries[key]
+        return self._make(
+            "summary",
+            key,
+            lambda: CompiledSummary.of(self._compile(key, name, regs, params)),
+        )
 
     def no_spill_regs(self, name: str, **params) -> int:
         """Registers/thread to avoid spills (Table 1, column 2)."""
@@ -389,45 +440,16 @@ class Runner:
         key = self.sim_key(
             name, partition, regs=regs, thread_target=thread_target, **params
         )
-        if key in self._sims:
-            return self._sims[key]
-        if key in self._sim_errors:
-            _raise_expected(self._sim_errors[key])
-        result = None
-        if self.cache is not None:
-            result = self.cache.get_result(self._sim_disk_key(key))
-            if result is None:
-                payload = self.cache.get_meta(self._sim_error_disk_key(key))
-                if payload is not None:
-                    self._memo_sim_error(key, (payload["error"], payload["message"]))
-                    _raise_expected(self._sim_errors[key])
-        if result is None:
-            ck = self.compiled(name, regs, **params)
-            try:
-                result = simulate(
-                    ck,
-                    partition,
-                    self.config,
-                    thread_target=thread_target,
-                )
-            except LaunchError as e:
-                record = ("LaunchError", str(e))
-                self._memo_sim_error(key, record)
-                if self.cache is not None:
-                    self.cache.put_meta(
-                        self._sim_error_disk_key(key),
-                        {"error": record[0], "message": record[1]},
-                    )
-                raise
-            if self.cache is not None:
-                self.cache.put_result(self._sim_disk_key(key), result)
-        self._sims[key] = result
-        self._record("sim", key, result)
-        return result
-
-    def _memo_sim_error(self, key: tuple, record: tuple[str, str]) -> None:
-        self._sim_errors[key] = record
-        self._record("sim_error", key, record)
+        return self._make(
+            "sim",
+            key,
+            lambda: simulate(
+                self.compiled(name, regs, **params),
+                partition,
+                self.config,
+                thread_target=thread_target,
+            ),
+        )
 
     def simulate_chip(
         self,
@@ -457,32 +479,18 @@ class Runner:
         key = self.chip_sim_key(
             name, partition, cfg, regs=regs, thread_target=thread_target, **params
         )
-        instrumented = chip_collector is not None and chip_collector.enabled
-        if not instrumented and key in self._chips:
-            return self._chips[key]
-        result = None
-        if not instrumented and self.cache is not None:
-            payload = self.cache.get_meta(self._chip_disk_key(key))
-            if payload is not None:
-                try:
-                    result = chip_result_from_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    result = None
-        if result is None:
-            result = simulate_chip(
+        return self._make(
+            "chip",
+            key,
+            lambda: simulate_chip(
                 self.compiled(name, regs, **params),
                 partition,
                 cfg,
                 thread_target=thread_target,
                 chip_collector=chip_collector,
-            )
-            if self.cache is not None:
-                self.cache.put_meta(
-                    self._chip_disk_key(key), chip_result_to_dict(result)
-                )
-        self._chips[key] = result
-        self._record("chip", key, result)
-        return result
+            ),
+            lookup=chip_collector is None or not chip_collector.enabled,
+        )
 
     def baseline(self, name: str, **kw) -> SimResult:
         """The 256/64/64 partitioned baseline (Section 2.1)."""
@@ -502,59 +510,18 @@ class Runner:
         do not fit never re-derive the refusal.
         """
         key = (name, total_kb, thread_target, tuple(sorted(params.items())))
-        if key in self._allocs:
-            return self._allocs[key]
-        if key in self._alloc_errors:
-            _raise_expected(self._alloc_errors[key])
-        if self.cache is not None:
-            payload = self.cache.get_meta(self._alloc_disk_key(key))
-            if payload is not None:
-                alloc = UnifiedAllocation(
-                    partition=partition_from_dict(payload["partition"]),
-                    resident_ctas=payload["resident_ctas"],
-                    resident_threads=payload["resident_threads"],
-                )
-                self._allocs[key] = alloc
-                self._record("alloc", key, alloc)
-                return alloc
-            payload = self.cache.get_meta(self._alloc_error_disk_key(key))
-            if payload is not None:
-                self._memo_alloc_error(key, (payload["error"], payload["message"]))
-                _raise_expected(self._alloc_errors[key])
-        ck = self.summary(name, **params)
-        try:
-            alloc = allocate_unified(
+
+        def compute() -> UnifiedAllocation:
+            ck = self.summary(name, **params)
+            return allocate_unified(
                 total_kb * KB,
                 regs_per_thread=ck.max_live,
                 threads_per_cta=ck.threads_per_cta,
                 smem_bytes_per_cta=ck.smem_bytes_per_cta,
                 thread_target=thread_target if thread_target is not None else 1024,
             )
-        except AllocationError as e:
-            record = ("AllocationError", str(e))
-            self._memo_alloc_error(key, record)
-            if self.cache is not None:
-                self.cache.put_meta(
-                    self._alloc_error_disk_key(key),
-                    {"error": record[0], "message": record[1]},
-                )
-            raise
-        self._allocs[key] = alloc
-        self._record("alloc", key, alloc)
-        if self.cache is not None:
-            self.cache.put_meta(
-                self._alloc_disk_key(key),
-                {
-                    "partition": partition_to_dict(alloc.partition),
-                    "resident_ctas": alloc.resident_ctas,
-                    "resident_threads": alloc.resident_threads,
-                },
-            )
-        return alloc
 
-    def _memo_alloc_error(self, key: tuple, record: tuple[str, str]) -> None:
-        self._alloc_errors[key] = record
-        self._record("alloc_error", key, record)
+        return self._make("alloc", key, compute)
 
     def unified(
         self,
@@ -595,7 +562,7 @@ class Runner:
     # -- observability ----------------------------------------------------
     def sim_keys(self) -> frozenset:
         """Snapshot of the memoised simulation keys (for run deltas)."""
-        return frozenset(self._sims)
+        return frozenset(self._memo["sim"])
 
     def sim_metrics(self, keys=None) -> dict:
         """Deterministic metrics over the memoised simulations.
@@ -607,10 +574,11 @@ class Runner:
         restricts the aggregate: pass the delta against a
         :meth:`sim_keys` snapshot to scope one experiment.
         """
+        sims = self._memo["sim"]
         if keys is None:
-            selected = dict(self._sims)
+            selected = dict(sims)
         else:
-            selected = {k: self._sims[k] for k in keys if k in self._sims}
+            selected = {k: sims[k] for k in keys if k in sims}
         records = []
         hits = accesses = instructions = dram_bytes = 0
         util_sum = 0.0

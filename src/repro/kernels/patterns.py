@@ -124,15 +124,3 @@ def compute_block(b: WarpBuilder, inputs: list[int], alu_ops: int, sfu_ops: int 
     for _ in range(sfu_ops - done_sfu):
         v = b.sfu(v)
     return v
-
-
-def gather_load(b: WarpBuilder, base: int, indices: list[int], elem_bytes: int = 4) -> int:
-    """Data-dependent gather: one address per thread from an index list."""
-    idx = b.iconst()
-    return b.load_global([base + i * elem_bytes for i in indices], idx)
-
-
-def shared_gather(b: WarpBuilder, sbase: int, indices: list[int], elem_bytes: int = 4) -> int:
-    """Scatter/gather read from shared memory (bank-conflict prone)."""
-    idx = b.iconst()
-    return b.load_shared([sbase + i * elem_bytes for i in indices], idx)

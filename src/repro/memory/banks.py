@@ -97,11 +97,6 @@ class BankAccess:
     max_bank_accesses: int
     data_row_accesses: int
 
-    @property
-    def is_conflicted(self) -> bool:
-        """Whether the access stalls the pipeline at all."""
-        return self.penalty > 0
-
 
 @dataclass(slots=True)
 class ConflictHistogram:

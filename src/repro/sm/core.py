@@ -103,7 +103,7 @@ class SMCore:
         thread_target: int | None,
         dram,
         obs,
-        cta_source,
+        dispatcher,
     ) -> None:
         """Build SM ``index`` of a launch of ``kernel`` under ``partition``.
 
@@ -111,15 +111,15 @@ class SMCore:
         :class:`~repro.memory.dram.DRAMChannel` or a
         :class:`~repro.memory.dram.DRAMPort` onto a shared system), with
         any observer already attached; ``obs`` is a live collector or
-        ``None``; ``cta_source`` is the chip dispatcher's port for this
-        SM.
+        ``None``; ``dispatcher`` is the chip's CTA dispatcher, which
+        this SM asks for its next CTA.
 
         Raises:
             repro.sm.cta_scheduler.LaunchError: If no CTA fits the
                 partition.
         """
         self.index = index
-        self.scheduler = CTAScheduler(kernel, partition, thread_target, cta_source)
+        self.scheduler = CTAScheduler(kernel, partition, thread_target, dispatcher, index)
         self.banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
         # The unified allocator can leave any remainder as cache; model the
         # whole sets and keep the dropped bytes visible in cache.slack_bytes.

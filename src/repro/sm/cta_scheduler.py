@@ -38,12 +38,9 @@ class ResidentCTA:
 class CTAScheduler:
     """Launches CTAs of one kernel under a partition's occupancy limits.
 
-    ``cta_source`` is an object with a ``next_cta()`` method returning
-    the next grid index to place on *this* SM (or ``None`` when the grid
-    is drained) and a ``remaining`` property: a port onto the chip's
-    shared dispatcher (:class:`repro.chip.CTADispatcher`), which hands
-    one SM the grid in index order -- the single-SM methodology of the
-    paper.
+    The chip's shared ``dispatcher`` (:class:`repro.chip.CTADispatcher`)
+    picks the next grid index for SM ``sm_index``; it hands one SM the
+    grid in index order -- the single-SM methodology of the paper.
     """
 
     def __init__(
@@ -51,11 +48,13 @@ class CTAScheduler:
         kernel: CompiledKernel,
         partition: MemoryPartition,
         thread_target: int | None,
-        cta_source,
+        dispatcher,
+        sm_index: int,
     ) -> None:
         self.kernel = kernel
         self.partition = partition
-        self._source = cta_source
+        self._dispatcher = dispatcher
+        self._sm_index = sm_index
         launch = kernel.launch
         limits = occupancy_limits(
             partition,
@@ -78,11 +77,11 @@ class CTAScheduler:
     @property
     def remaining(self) -> int:
         """CTAs of the grid not yet launched on any SM."""
-        return self._source.remaining
+        return self._dispatcher.remaining
 
     def launch_next(self) -> ResidentCTA | None:
         """Place the next pending CTA, or None when the grid is drained."""
-        index = self._source.next_cta()
+        index = self._dispatcher.next_cta(self._sm_index)
         if index is None:
             return None
         smem_bytes = self.kernel.launch.smem_bytes_per_cta

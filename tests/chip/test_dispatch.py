@@ -34,23 +34,6 @@ class TestDispatchOrder:
         assert d.next_cta(2) is None
 
 
-class TestDispatchPort:
-    def test_port_routes_to_its_sm(self):
-        d = CTADispatcher(num_ctas=2, num_sms=2)
-        p0, p1 = d.port(0), d.port(1)
-        assert p1.next_cta() == 0
-        assert p0.next_cta() == 1
-        assert p0.remaining == 0 and p1.remaining == 0
-        assert d.assignments == [[1], [0]]
-
-    def test_port_is_a_cta_source(self):
-        # The shape CTAScheduler expects: next_cta() and remaining.
-        p = CTADispatcher(num_ctas=1, num_sms=1).port(0)
-        assert p.remaining == 1
-        assert p.next_cta() == 0
-        assert p.next_cta() is None
-
-
 class TestValidation:
     def test_bad_construction(self):
         with pytest.raises(ValueError):
@@ -66,10 +49,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="sm_index -1 out of range"):
             d.next_cta(-1)
         assert d.remaining == 4  # rejected asks hand out nothing
-
-    def test_port_rejects_out_of_range_sm(self):
-        d = CTADispatcher(num_ctas=4, num_sms=2)
-        with pytest.raises(ValueError, match="sm_index 5 out of range"):
-            d.port(5)
-        with pytest.raises(ValueError, match="sm_index -2 out of range"):
-            d.port(-2)

@@ -67,7 +67,7 @@ class TestDiskCache:
         rn = Runner("tiny", cache=DiskCache(tmp_path))
         cr = rn.simulate_chip("vectoradd", part, chip=TINY_CHIP)
         key = rn.chip_sim_key("vectoradd", part, TINY_CHIP)
-        path = rn.cache.meta_path(rn._chip_disk_key(key))
+        path = rn.cache.meta_path(rn._disk_key("chip", key))
         path.write_text('{"chip_version": 999}')
         fresh = Runner("tiny", cache=DiskCache(tmp_path))
         again = fresh.simulate_chip("vectoradd", part, chip=TINY_CHIP)

@@ -122,7 +122,7 @@ class TestRunnerIntegration:
         cold = Runner("tiny", cache=DiskCache(tmp_path))
         ref = cold.baseline("vectoradd")
         cache = DiskCache(tmp_path)
-        key = cold._sim_disk_key(cold.sim_key("vectoradd", ref.partition))
+        key = cold._disk_key("sim", cold.sim_key("vectoradd", ref.partition))
         cache.result_path(key).write_text("garbage")
         warm = Runner("tiny", cache=cache)
         assert warm.baseline("vectoradd") == ref

@@ -43,7 +43,7 @@ class TestSerialPrime:
         report = ex.prime([Job("baseline", b) for b in BENCH], label="t")
         assert len(report.outcomes) == 2
         assert not report.errors
-        assert len(rn._sims) == 2  # replay is now memo-only
+        assert len(rn._memo["sim"]) == 2  # replay is now memo-only
 
     def test_expected_error_memoised_not_raised(self):
         rn = Runner("tiny")
@@ -91,7 +91,7 @@ class TestForkedPrime:
         ex = Executor(Runner("tiny"), jobs=2)
         report = ex.prime([Job("unified", b, total_kb=8) for b in BENCH])
         assert len(report.errors) == 2
-        assert ex.runner._alloc_errors  # refusal shipped via journal
+        assert ex.runner._memo["alloc_error"]  # refusal shipped via journal
         with pytest.raises(AllocationError):
             ex.runner.unified("vectoradd", total_kb=8)
 
@@ -152,7 +152,7 @@ class TestConfigVariants:
         other = variant.baseline("vectoradd")
         assert other is not base
         assert variant._traces is rn._traces  # trace work genuinely shared
-        assert len(rn._sims) == 2  # both results in the shared memo
+        assert len(rn._memo["sim"]) == 2  # both results in the shared memo
 
     def test_variant_job_runs_under_its_config(self):
         rn = Runner("tiny")
@@ -162,4 +162,4 @@ class TestConfigVariants:
         key = rn.variant(cfg).sim_key(
             "vectoradd", rn.variant(cfg).baseline("vectoradd").partition
         )
-        assert key in rn._sims
+        assert key in rn._memo["sim"]
